@@ -20,12 +20,7 @@ from .core import (Block, ChainState, Config, PenaltyEntry, PosnError,
                    select_mempool, u64)
 from .neuro import SlotSeed, first_spike_step, make_slot_seed
 
-# slot phases, in forward order; Skipped is the timeout exit
-ENCODING = "Encoding"
-SPIKING = "Spiking"
-PROPOSAL = "Proposal"
-VALIDATION = "Validation"
-VOTING = "Voting"
+# slot outcomes; Skipped is the timeout exit
 FINALIZED = "Finalized"
 SKIPPED = "Skipped"
 
@@ -199,15 +194,13 @@ def compute_fire_steps(validators: Sequence[ValidatorId],
 def validate_proposal(block: Block, slot: int, parent_hash: bytes,
                       snapshot: Sequence[Transaction], cfg: Config,
                       keys: Keyring,
-                      election: Optional[ElectionResult] = None,
-                      seed: Optional[SlotSeed] = None,
-                      spike_txs: Optional[tuple[Transaction, ...]] = None
-                      ) -> Verdict:
+                      ctx: Optional[SlotContext] = None) -> Verdict:
     """Replay-based acceptance, first failed check wins: signatures,
     parent link, spike replay, election, mempool ordering.
 
-    `election`/`seed`/`spike_txs` may carry the caller's already-computed
-    slot context; they are recomputed from the snapshot when absent.
+    `ctx` is the slot's already-computed context, whose fire steps and
+    election the checks read; it is computed from the snapshot when
+    absent.
     """
     bad = check_signatures(block, keys)
     if bad is not None:
@@ -217,17 +210,16 @@ def validate_proposal(block: Block, slot: int, parent_hash: bytes,
     if block.parent_hash != parent_hash:
         return Verdict.reject("ParentMismatch")
 
-    if spike_txs is None:
-        spike_txs = select_mempool(snapshot, cfg.spike_snapshot_cap)
-    if seed is None:
-        seed = make_slot_seed(parent_hash, slot, spike_txs)
-    replayed = first_spike_step(block.proposer, spike_txs, seed, cfg)
+    if ctx is None:
+        ctx = compute_slot_context(
+            slot, parent_hash, select_mempool(snapshot, cfg.spike_snapshot_cap),
+            cfg, keys)
+    # check_signatures admitted only known proposers, so the key is there
+    replayed = ctx.fire_steps[block.proposer]
     if replayed is None or replayed != block.claimed_fire_step:
         return Verdict.reject("SpikeMismatch")
 
-    if election is None:
-        steps = compute_fire_steps(keys.validators, spike_txs, seed, cfg)
-        election = elect_leader(steps, slot, parent_hash, keys)
+    election = ctx.election
     if election is None or election.leader != block.proposer:
         return Verdict.reject("NotElected")
     if election.vrf_used:
@@ -413,7 +405,6 @@ class Outgoing:
 # a memoized lookup since every honest node derives identical values
 @dataclass(frozen=True)
 class SlotContext:
-    seed: SlotSeed
     fire_steps: dict[ValidatorId, Optional[int]]
     election: Optional[ElectionResult]
 
@@ -426,7 +417,7 @@ def compute_slot_context(slot: int, parent_hash: bytes,
                          keys: Keyring) -> SlotContext:
     seed = make_slot_seed(parent_hash, slot, spike_txs)
     steps = compute_fire_steps(keys.validators, spike_txs, seed, cfg)
-    return SlotContext(seed=seed, fire_steps=steps,
+    return SlotContext(fire_steps=steps,
                        election=elect_leader(steps, slot, parent_hash, keys))
 
 
@@ -514,7 +505,6 @@ class Node:
                                          self.slot.spike_txs)
         else:
             self.slot.ctx = SlotContext(
-                seed=make_slot_seed(self.chain.tip_hash, slot, ()),
                 fire_steps={},
                 election=self._elect_baseline(slot, self.chain.tip_hash))
         self.slot_history[slot] = (self.chain.tip_hash, self.slot.spike_txs)
@@ -628,8 +618,7 @@ class Node:
         if self.protocol == "posn":
             return validate_proposal(
                 block, self.slot.slot, self.chain.tip_hash, self.slot.snapshot,
-                self.cfg, self.keys, election=ctx.election, seed=ctx.seed,
-                spike_txs=self.slot.spike_txs)
+                self.cfg, self.keys, ctx=ctx)
         bad = check_signatures(block, self.keys)
         if bad is not None:
             return Verdict.reject(bad)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from hashlib import blake2b
 from typing import Iterable, Optional, Sequence
 
@@ -150,6 +151,13 @@ class Block:
     proposer_signature: Optional[Signature] = None
 
     def core_bytes(self) -> bytes:
+        return self._core_bytes
+
+    # cached in the instance __dict__, outside the dataclass fields, so
+    # equality, repr and replace() never see it; the fields are frozen,
+    # so the bytes cannot go stale
+    @cached_property
+    def _core_bytes(self) -> bytes:
         parts = [b"posn-block", u64(self.slot), u32(self.proposer.index),
                  self.proposer.pk, self.parent_hash, u32(len(self.txs))]
         parts.extend(tx.to_bytes() for tx in self.txs)
@@ -375,8 +383,14 @@ def default_config(n_validators: int, **overrides) -> Config:
 # ---------------------------------------------------------------------------
 
 def hash_block(block: Block) -> bytes:
-    """Digest over all block fields except the proposer signature."""
-    return blake2b(block.core_bytes(), digest_size=32).digest()
+    """Digest over all block fields except the proposer signature,
+    computed once per Block instance and cached beside its core bytes."""
+    cache = block.__dict__
+    digest = cache.get("_hash")
+    if digest is None:
+        digest = cache["_hash"] = blake2b(block.core_bytes(),
+                                          digest_size=32).digest()
+    return digest
 
 
 def select_mempool(mempool: Sequence[Transaction],

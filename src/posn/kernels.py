@@ -105,10 +105,6 @@ class Stream:
         return Stream(stream_key(self.key.to_bytes(8, "little"), label))
 
 
-def substream_key(parent_key: int, label: bytes) -> int:
-    return stream_key(parent_key.to_bytes(8, "little"), label)
-
-
 # ---------------------------------------------------------------------------
 # spike-train synthesis (numpy, shared by tests and the fallback path)
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Optional, Union, get_args
 
 from hashlib import blake2b
 
@@ -75,29 +75,26 @@ class LoadProfile:
             raise ConfigError("empty value/fee range")
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    deliver_at: float
-    seq: int
-    kind: str  # begin | end | msg | heal
-    node: int = -1
-    slot: int = -1
-    frm: int = -1
-    payload: Optional[Payload] = None
-
-
-def sample_delay(now_ms: float, frm: int, to: int, cfg: Config, seed: int,
-                 seq: int) -> int:
-    """Delivery delay in whole ms for the seq-th message on edge
-    (frm, to): uniform in [1, delta] after GST, [1, 10*delta] before."""
-    bound = cfg.delta_net_ms if now_ms >= cfg.gst_ms else 10.0 * cfg.delta_net_ms
-    key = stream_key(u64(seed), b"delay", i64(frm), i64(to))
-    return 1 + Stream(key).at(seq) % int(bound)
-
-
 def delay_bound(now_ms: float, cfg: Config) -> float:
     return (cfg.delta_net_ms if now_ms >= cfg.gst_ms
             else 10.0 * cfg.delta_net_ms)
+
+
+def edge_stream(seed: int, frm: int, to: int) -> Stream:
+    """The delay stream of edge (frm, to) under master seed `seed`."""
+    return Stream(stream_key(u64(seed), b"delay", i64(frm), i64(to)))
+
+
+def sample_delay(now_ms: float, stream: Stream, cfg: Config,
+                 seq: int) -> int:
+    """Delivery delay in whole ms for the seq-th message on the edge whose
+    `edge_stream` is `stream`: uniform in [1, delta] after GST,
+    [1, 10*delta] before."""
+    return 1 + stream.at(seq) % int(delay_bound(now_ms, cfg))
+
+
+# msg_counters name per payload type, built once
+_SENT_NAME = {cls: f"sent_{cls.__name__}" for cls in get_args(Payload)}
 
 
 def find_partition(partitions: tuple[Partition, ...], now_ms: float,
@@ -251,9 +248,12 @@ class Sim:
             self.nodes.append(ByzantineShell(node, strategy)
                               if strategy else node)
 
-        self.heap: list[tuple[float, int, SimEvent]] = []
+        # (deliver_at, seq, kind, node, slot, payload); kind is one of
+        # begin | end | msg | heal, and (deliver_at, seq) is unique
+        self.heap: list[tuple] = []
         self._seq = 0
-        self._edge_seq: dict[tuple[int, int], int] = {}
+        # edge (frm, to) -> [delay stream, messages sent on it so far]
+        self._edges: dict[tuple[int, int], list] = {}
         self.counters: dict[str, int] = {}
         self._held: dict[Partition, list[tuple[int, int, Payload]]] = {}
         self.tx_records: list[dict] = []
@@ -277,8 +277,9 @@ class Sim:
     def _count(self, name: str) -> None:
         self.counters[name] = self.counters.get(name, 0) + 1
 
-    def _push(self, at: float, event: SimEvent) -> None:
-        heapq.heappush(self.heap, (at, self._seq, replace(event, seq=self._seq)))
+    def _push(self, at: float, kind: str, node: int = -1, slot: int = -1,
+              payload: Optional[Payload] = None) -> None:
+        heapq.heappush(self.heap, (at, self._seq, kind, node, slot, payload))
         self._seq += 1
 
     def _crashed(self, i: int, now: float) -> bool:
@@ -297,14 +298,15 @@ class Sim:
         if to == frm:
             deliver = send_at  # local copy, no network hop
         else:
-            edge = (frm, to)
-            seq = self._edge_seq.get(edge, 0)
-            self._edge_seq[edge] = seq + 1
-            deliver = send_at + sample_delay(send_at, frm, to, self.cfg,
-                                             self.cfg.master_seed, seq)
-        self._count(f"sent_{type(payload).__name__}")
-        self._push(deliver, SimEvent(deliver_at=deliver, seq=0, kind="msg",
-                                     node=to, frm=frm, payload=payload))
+            edge = self._edges.get((frm, to))
+            if edge is None:
+                edge = self._edges[(frm, to)] = [
+                    edge_stream(self.cfg.master_seed, frm, to), 0]
+            deliver = send_at + sample_delay(send_at, edge[0], self.cfg,
+                                             edge[1])
+            edge[1] += 1
+        self._count(_SENT_NAME[type(payload)])
+        self._push(deliver, "msg", node=to, payload=payload)
 
     def _ship(self, frm: int, outgoing: list[Outgoing], now: float) -> None:
         for o in outgoing:
@@ -361,45 +363,43 @@ class Sim:
             t = slot * self.slot_ms
             if slot > 0:
                 for i in range(self.cfg.n_validators):
-                    self._push(t, SimEvent(deliver_at=t, seq=0, kind="end",
-                                           node=i, slot=slot - 1))
+                    self._push(t, "end", node=i, slot=slot - 1)
             for i in range(self.cfg.n_validators):
-                self._push(t, SimEvent(deliver_at=t, seq=0, kind="begin",
-                                       node=i, slot=slot))
+                self._push(t, "begin", node=i, slot=slot)
         final = self.n_slots * self.slot_ms
         for i in range(self.cfg.n_validators):
-            self._push(final, SimEvent(deliver_at=final, seq=0, kind="end",
-                                       node=i, slot=self.n_slots - 1))
+            self._push(final, "end", node=i, slot=self.n_slots - 1)
         for p in self.plan.partitions:
-            self._push(p.end_ms, SimEvent(deliver_at=p.end_ms, seq=0,
-                                          kind="heal"))
+            self._push(p.end_ms, "heal")
         self._inject_load()
 
-        while self.heap:
-            at, _, ev = heapq.heappop(self.heap)
-            if at > self.load.duration_ms:
+        heap, duration = self.heap, self.load.duration_ms
+        while heap:
+            at, _, kind, node, slot, payload = heapq.heappop(heap)
+            if at > duration:
                 break
-            self._dispatch(at, ev)
+            self._dispatch(at, kind, node, slot, payload)
         return self._collect()
 
-    def _dispatch(self, now: float, ev: SimEvent) -> None:
-        if ev.kind == "heal":
+    def _dispatch(self, now: float, kind: str, node_i: int, slot: int,
+                  payload: Optional[Payload]) -> None:
+        if kind == "heal":
             self._heal(now)
             return
-        if self._crashed(ev.node, now):
+        if self._crashed(node_i, now):
             self._count("dropped_crashed")
             return
-        node = self.nodes[ev.node]
-        if ev.kind == "begin":
-            self._prune_memo(ev.slot)
-            self._ship(ev.node, node.begin_slot(ev.slot, now), now)
-        elif ev.kind == "end":
-            self._ship(ev.node, node.end_slot(ev.slot, now), now)
-        elif ev.kind == "msg":
-            if self._stale(ev.node, ev.payload):
+        node = self.nodes[node_i]
+        if kind == "begin":
+            self._prune_memo(slot)
+            self._ship(node_i, node.begin_slot(slot, now), now)
+        elif kind == "end":
+            self._ship(node_i, node.end_slot(slot, now), now)
+        elif kind == "msg":
+            if self._stale(node_i, payload):
                 self._count("dropped_stale")
                 return
-            self._ship(ev.node, node.on_message(now, ev.payload), now)
+            self._ship(node_i, node.on_message(now, payload), now)
 
     def _stale(self, node_i: int, payload: Payload) -> bool:
         current = self._bare(node_i).slot.slot

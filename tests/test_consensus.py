@@ -14,6 +14,7 @@ from posn.consensus import (
     apply_penalty,
     collect_votes,
     compute_fire_steps,
+    compute_slot_context,
     distribute_rewards,
     elect_leader,
     election_data,
@@ -240,6 +241,86 @@ def test_validate_check_order(cfg4, keys4, accepted_block):
     broken = replace(broken, proposer_signature=sig)
     verdict = validate_proposal(broken, 3, GENESIS_HASH, mempool, cfg4, keys4)
     assert verdict.reason == "WrongSlot"
+
+
+def _resign(block, keys, **changes):
+    changed = replace(block, **changes)
+    return replace(changed, proposer_signature=crypto.sign(
+        keys.sk(changed.proposer.index), changed.core_bytes()))
+
+
+def _validation_cases(cfg, keys, mempool, block, election):
+    """(expected reason, block, slot, parent) for an accepted block and
+    for each of the rejections above."""
+    txs = list(block.txs)
+    txs[0] = replace(txs[0], value=txs[0].value + 1)
+    spike_txs = select_mempool(mempool, cfg.spike_snapshot_cap)
+    seed = make_slot_seed(GENESIS_HASH, 0, spike_txs)
+    steps = compute_fire_steps(keys.validators, spike_txs, seed, cfg)
+    other = next(v for v in keys.validators
+                 if v != election.leader and steps[v] is not None)
+    return [
+        (None, block, 0, GENESIS_HASH),
+        ("BadBlockSignature", replace(block, proposer_signature=crypto.sign(
+            keys.sk(0), b"no")), 0, GENESIS_HASH),
+        ("UnknownProposer", replace(block, proposer=replace(
+            block.proposer, index=99)), 0, GENESIS_HASH),
+        ("BadTxSignature", _resign(block, keys, txs=tuple(txs)), 0,
+         GENESIS_HASH),
+        ("WrongSlot", block, 1, GENESIS_HASH),
+        ("ParentMismatch", block, 0, b"\x05" * 32),
+        ("SpikeMismatch", _resign(
+            block, keys, claimed_fire_step=block.claimed_fire_step + 1), 0,
+         GENESIS_HASH),
+        ("NotElected", _resign(block, keys, proposer=other,
+                               claimed_fire_step=steps[other],
+                               vrf_output=None), 0, GENESIS_HASH),
+        ("MempoolMismatch", _resign(block, keys, txs=block.txs[:-1]), 0,
+         GENESIS_HASH),
+        ("WrongSlot", _resign(block, keys, txs=block.txs[:-1]), 3,
+         GENESIS_HASH),
+    ]
+
+
+def _assert_ctx_agrees(cfg, keys, mempool, cases, monkeypatch):
+    spike_txs = select_mempool(mempool, cfg.spike_snapshot_cap)
+    contexts = {(slot, parent): compute_slot_context(slot, parent, spike_txs,
+                                                     cfg, keys)
+                for _, _, slot, parent in cases}
+    plain = [validate_proposal(blk, slot, parent, mempool, cfg, keys)
+             for _, blk, slot, parent in cases]
+    assert [v.reason for v in plain] == [reason for reason, *_ in cases]
+
+    # with the slot context given, no neuron is replayed again
+    def no_replay(*args):
+        raise AssertionError("first_spike_step called despite ctx")
+
+    monkeypatch.setattr("posn.consensus.first_spike_step", no_replay)
+    with_ctx = [validate_proposal(blk, slot, parent, mempool, cfg, keys,
+                                  ctx=contexts[(slot, parent)])
+                for _, blk, slot, parent in cases]
+    assert with_ctx == plain
+
+
+def test_validate_with_and_without_ctx_agree(cfg4, keys4, accepted_block,
+                                             monkeypatch):
+    mempool, block, election = accepted_block
+    cases = _validation_cases(cfg4, keys4, mempool, block, election)
+    _assert_ctx_agrees(cfg4, keys4, mempool, cases, monkeypatch)
+
+
+def test_validate_with_and_without_ctx_agree_on_vrf(cfg7, keys7, txs,
+                                                    monkeypatch):
+    mempool, spike_txs, seed, election = _electable(cfg7, keys7, txs)
+    if not election.vrf_used:
+        pytest.skip("no tie in this draw")
+    leader = election.leader
+    block = propose(leader, keys7.sk(leader.index), 0, GENESIS_HASH,
+                    mempool, election, cfg7)
+    cases = [(None, block, 0, GENESIS_HASH),
+             ("VrfMismatch", _resign(block, keys7, vrf_output=None), 0,
+              GENESIS_HASH)]
+    _assert_ctx_agrees(cfg7, keys7, mempool, cases, monkeypatch)
 
 
 # --- votes ------------------------------------------------------------------

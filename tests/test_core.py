@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from hashlib import blake2b
 
 import pytest
 
@@ -72,6 +73,30 @@ def test_block_hash_ignores_proposer_signature(cfg4, keys4, txs):
     block = _leader_block(keys4, cfg4, txs)
     resigned = replace(block, proposer_signature=sign(keys4.sk(1), b"x"))
     assert hash_block(block) == hash_block(resigned)
+
+
+def _uncached_hash(block):
+    # a fresh instance decoded from the wire bytes, hashed directly
+    fresh = Block.from_bytes(block.to_bytes())
+    return blake2b(fresh.core_bytes(), digest_size=32).digest()
+
+
+def test_block_hash_cache_matches_a_fresh_block(cfg4, keys4, txs):
+    block = _leader_block(keys4, cfg4, txs)
+    before = (repr(block), block.to_json(), block.to_bytes(), hash(block))
+    cached = hash_block(block)
+    assert hash_block(block) is cached
+    assert cached == _uncached_hash(block)
+    # the cache sits outside the fields: nothing else sees it
+    again = Block.from_bytes(block.to_bytes())
+    assert again == block
+    assert (repr(block), block.to_json(), block.to_bytes(),
+            hash(block)) == before
+    # a replace()d block hashes afresh; a re-signed one hashes the same
+    shorter = replace(block, txs=block.txs[:-1])
+    assert hash_block(shorter) == _uncached_hash(shorter) != cached
+    resigned = replace(block, proposer_signature=sign(keys4.sk(1), b"x"))
+    assert hash_block(resigned) == cached
 
 
 def test_select_mempool_orders_by_fee_then_id():

@@ -12,6 +12,7 @@ from posn.netsim import (
     Partition,
     Sim,
     delay_bound,
+    edge_stream,
     find_partition,
     run,
     sample_delay,
@@ -25,8 +26,8 @@ def _load(rate=40.0, ms=5000.0):
 # --- delays and partitions --------------------------------------------------
 
 def test_sample_delay_bounds_post_gst(cfg4):
-    delays = [sample_delay(1000.0, 0, 1, cfg4, seed=3, seq=i)
-              for i in range(300)]
+    stream = edge_stream(3, 0, 1)
+    delays = [sample_delay(1000.0, stream, cfg4, seq=i) for i in range(300)]
     assert min(delays) >= 1
     assert max(delays) <= cfg4.delta_net_ms
     assert len(set(delays)) > 10
@@ -34,7 +35,8 @@ def test_sample_delay_bounds_post_gst(cfg4):
 
 def test_sample_delay_bounds_pre_gst(cfg4):
     late_gst = replace(cfg4, gst_ms=5000.0)
-    delays = [sample_delay(100.0, 0, 1, late_gst, seed=3, seq=i)
+    stream = edge_stream(3, 0, 1)
+    delays = [sample_delay(100.0, stream, late_gst, seq=i)
               for i in range(300)]
     assert max(delays) > late_gst.delta_net_ms  # slow epoch really is slower
     assert max(delays) <= 10 * late_gst.delta_net_ms
@@ -43,10 +45,13 @@ def test_sample_delay_bounds_pre_gst(cfg4):
 
 
 def test_sample_delay_is_a_pure_function(cfg4):
-    a = sample_delay(0.0, 2, 3, cfg4, seed=9, seq=17)
-    assert a == sample_delay(0.0, 2, 3, cfg4, seed=9, seq=17)
-    assert sample_delay(0.0, 3, 2, cfg4, seed=9, seq=17) != a or \
-        sample_delay(0.0, 3, 2, cfg4, seed=9, seq=18) != a
+    stream = edge_stream(9, 2, 3)
+    a = sample_delay(0.0, stream, cfg4, seq=17)
+    assert a == sample_delay(0.0, stream, cfg4, seq=17)
+    assert a == sample_delay(0.0, edge_stream(9, 2, 3), cfg4, seq=17)
+    back = edge_stream(9, 3, 2)
+    assert sample_delay(0.0, back, cfg4, seq=17) != a or \
+        sample_delay(0.0, back, cfg4, seq=18) != a
 
 
 def test_find_partition_cuts_only_across():
