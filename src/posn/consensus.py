@@ -260,8 +260,7 @@ def make_vote(voter: ValidatorId, sk: bytes, slot: int,
 # rewards and penalties
 # ---------------------------------------------------------------------------
 
-def distribute_rewards(chain: ChainState, block: Block,
-                       quorum: Sequence[Vote],
+def distribute_rewards(block: Block, quorum: Sequence[Vote],
                        cfg: Config) -> tuple[RewardEvent, ...]:
     """One leader reward (base + fees) plus one vote reward per quorum
     member, voters in index order."""
@@ -483,7 +482,6 @@ class Node:
         self.slot_history: dict[int, tuple[bytes, tuple[Transaction, ...]]] = {}
         self.evidence_seen: set[tuple[str, int, int]] = set()
         self.penalty_events: list[RewardEvent] = []
-        self.reward_events: list[RewardEvent] = []
         self.finalize_seen: set[tuple[int, bytes]] = set()
         self.pending_finalize: dict[bytes, tuple[Block, tuple[Vote, ...]]] = {}
         self.block_final_ms: dict[int, float] = {}
@@ -642,30 +640,28 @@ class Node:
 
     def _found_evidence(self, now: float,
                         evidence: Evidence) -> list[Outgoing]:
-        key = evidence_key(evidence)
-        if key in self.evidence_seen:
+        if not self._penalize(evidence):
             return []
-        self.evidence_seen.add(key)
-        try:
-            self.chain, events = apply_penalty(self.chain, evidence, self.cfg,
-                                               self.keys)
-        except InvalidEvidence:
-            return []
-        self.penalty_events.extend(events)
         return [Outgoing(send_at=now, payload=EvidenceMsg(evidence))]
 
     def _on_evidence(self, evidence: Evidence) -> list[Outgoing]:
+        if self._matches_local_view(evidence):
+            self._penalize(evidence)
+        return []
+
+    def _penalize(self, evidence: Evidence) -> bool:
+        """Apply evidence not seen before; True when it was new and valid."""
         key = evidence_key(evidence)
-        if key in self.evidence_seen or not self._matches_local_view(evidence):
-            return []
+        if key in self.evidence_seen:
+            return False
         self.evidence_seen.add(key)
         try:
             self.chain, events = apply_penalty(self.chain, evidence, self.cfg,
                                                self.keys)
         except InvalidEvidence:
-            return []
+            return False
         self.penalty_events.extend(events)
-        return []
+        return True
 
     def _on_vote(self, now: float, vote: Vote) -> list[Outgoing]:
         if vote.slot != self.slot.slot or self.slot.finalized:
@@ -690,9 +686,7 @@ class Node:
         if block.parent_hash != self.chain.tip_hash:
             self.pending_finalize[block.parent_hash] = (block, votes)
             return []
-        events = distribute_rewards(self.chain, block, votes, self.cfg)
         self.chain = append_block(self.chain, block, votes, self.cfg)
-        self.reward_events.extend(events)
         self.finalized_slots.add(block.slot)
         self.block_final_ms[block.slot] = now
         for tx in block.txs:

@@ -427,7 +427,7 @@ def append_block(chain: ChainState, block: Block, quorum: Iterable[Vote],
     if block.parent_hash != chain.tip_hash:
         raise ParentMismatch("block does not extend the chain tip")
 
-    events = distribute_rewards(chain, block, votes, cfg)
+    events = distribute_rewards(block, votes, cfg)
     balances = dict(chain.balances)
     minted = 0
     for ev in events:

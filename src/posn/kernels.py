@@ -1,42 +1,27 @@
 """Numeric hot path: counter-based random streams, spike-train synthesis
 and the leaky integrate-and-fire scan that yields first-spike times.
 
-Two interchangeable implementations live here. The default compiles the
-fused per-validator scan with numba; setting POSN_DISABLE_NUMBA=1 in the
-environment (or a failed numba import) selects a vectorized numpy path
-instead. Both produce bit-identical results: spike draws use the same
-splitmix64 finalizer, currents accumulate in the same index order, and
-the membrane recurrence V[t] = decay*V[t-1] + I[t] is evaluated with the
-same per-step operation order (the fallback gets it from lfilter).
+`first_fire` is the one first-spike kernel. It draws each rate train
+from its counter stream with the splitmix64 finalizer, adds the weighted
+trains into one current in train index order, and runs the membrane
+recurrence V[t] = decay*V[t-1] + I[t] (exact integration, Rotter &
+Diesmann 1999) until the first threshold crossing. Every operation has
+a fixed order, so any peer replays a race bit for bit.
 """
 
 from __future__ import annotations
 
-import os
 from hashlib import blake2b
 
 import numpy as np
-from scipy.signal import lfilter
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MASK = 0xFFFFFFFFFFFFFFFF
 _INV_2_53 = 2.0 ** -53
 
-DISABLE_NUMBA = os.environ.get("POSN_DISABLE_NUMBA", "").strip() not in ("", "0")
-
-try:
-    if DISABLE_NUMBA:
-        raise ImportError("disabled by POSN_DISABLE_NUMBA")
-    from numba import njit
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        # decorator stand-in so the kernel below still defines a callable
-        if args and callable(args[0]):
-            return args[0]
-        return lambda fn: fn
+# There is no compiled path. The benchmark's environment record
+# (perfbench/worker.py) still reads this name, so it stays.
+HAVE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +86,9 @@ class Stream:
             raise ValueError("empty range")
         return lo + self.next_u64() % (hi - lo + 1)
 
-    def sub(self, label: bytes) -> "Stream":
-        return Stream(stream_key(self.key.to_bytes(8, "little"), label))
-
 
 # ---------------------------------------------------------------------------
-# spike-train synthesis (numpy, shared by tests and the fallback path)
+# spike-train synthesis and the first-spike scan
 # ---------------------------------------------------------------------------
 
 def rate_trains(keys: np.ndarray, probs: np.ndarray, n_steps: int) -> np.ndarray:
@@ -130,7 +112,7 @@ def temporal_trains(isis: np.ndarray, n_steps: int) -> np.ndarray:
 
 def composite_current(weights: np.ndarray, *spike_mats: np.ndarray) -> np.ndarray:
     """Weighted sum of spike trains, accumulated train by train in index
-    order so the result matches the scalar accumulation in the jit path."""
+    order, so the sum of each step has one fixed operation order."""
     if not spike_mats:
         raise ValueError("need at least one spike matrix")
     n_steps = spike_mats[0].shape[1]
@@ -146,17 +128,19 @@ def lif_first_fire_from_current(current: np.ndarray, decay: float,
                                 theta: float) -> int:
     """First step at which the leaky integration of `current` reaches the
     threshold, or -1. Only the pre-reset trajectory decides the first
-    crossing, so a linear filter scan is exact here."""
-    v = lfilter([1.0], [1.0, -decay], np.asarray(current, dtype=np.float64))
-    fired = v >= theta
-    if not fired.any():
-        return -1
-    return int(np.argmax(fired))
+    crossing, so the scan stops there."""
+    v = 0.0
+    for t, i_t in enumerate(np.asarray(current, dtype=np.float64).tolist()):
+        v = decay * v + i_t
+        if v >= theta:
+            return t
+    return -1
 
 
-def first_fire_numpy(keys: np.ndarray, probs: np.ndarray, isis: np.ndarray,
-                     weights: np.ndarray, n_steps: int, decay: float,
-                     theta: float, use_rate: bool, use_temporal: bool) -> int:
+def first_fire(keys: np.ndarray, probs: np.ndarray, isis: np.ndarray,
+               weights: np.ndarray, n_steps: int, decay: float, theta: float,
+               use_rate: bool = True, use_temporal: bool = False) -> int:
+    """First step at which a neuron fed the given trains fires, or -1."""
     mats = []
     if use_rate:
         mats.append(rate_trains(keys, probs, n_steps))
@@ -166,62 +150,3 @@ def first_fire_numpy(keys: np.ndarray, probs: np.ndarray, isis: np.ndarray,
         return -1
     current = composite_current(weights, *mats)
     return lif_first_fire_from_current(current, decay, theta)
-
-
-# ---------------------------------------------------------------------------
-# fused jit scan
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _first_fire_jit(keys, probs, isis, weights, n_steps, decay, theta,
-                    use_rate, use_temporal):  # pragma: no cover (jit body)
-    n_tx = keys.shape[0]
-    golden = np.uint64(GOLDEN)
-    v = 0.0
-    for t in range(n_steps):
-        current = 0.0
-        if use_rate:
-            # draw t of stream k: finalizer over keys[k] + (t+1)*G, and the
-            # finalizer itself opens with one more +G
-            base = np.uint64(t + 1) * golden + golden
-            for k in range(n_tx):
-                z = keys[k] + base
-                z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-                z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-                z = z ^ (z >> np.uint64(31))
-                u = np.float64(z >> np.uint64(11)) * _INV_2_53
-                if u < probs[k]:
-                    current += weights[k]
-        if use_temporal:
-            for k in range(n_tx):
-                if (t + 1) % isis[k] == 0:
-                    current += weights[k]
-        v = decay * v + current
-        if v >= theta:
-            return t
-    return -1
-
-
-def first_fire_numba(keys: np.ndarray, probs: np.ndarray, isis: np.ndarray,
-                     weights: np.ndarray, n_steps: int, decay: float,
-                     theta: float, use_rate: bool, use_temporal: bool) -> int:
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba path requested but unavailable")
-    if len(keys) == 0:
-        return -1
-    return int(_first_fire_jit(
-        np.ascontiguousarray(keys, dtype=np.uint64),
-        np.ascontiguousarray(probs, dtype=np.float64),
-        np.ascontiguousarray(isis, dtype=np.int64),
-        np.ascontiguousarray(weights, dtype=np.float64),
-        n_steps, decay, theta, use_rate, use_temporal))
-
-
-def first_fire(keys, probs, isis, weights, n_steps, decay, theta,
-               use_rate=True, use_temporal=False) -> int:
-    """Dispatch to the jit scan when available, else the numpy path."""
-    if HAVE_NUMBA:
-        return first_fire_numba(keys, probs, isis, weights, n_steps, decay,
-                                theta, use_rate, use_temporal)
-    return first_fire_numpy(keys, probs, isis, weights, n_steps, decay,
-                            theta, use_rate, use_temporal)

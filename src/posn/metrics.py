@@ -124,16 +124,6 @@ def leader_entropy(counts: dict) -> float:
     return math.fsum(terms)
 
 
-def leader_uniformity_p(counts: dict, n_validators: int) -> float:
-    """Chi-square goodness-of-fit p-value against the uniform leader
-    distribution, zero-padded to the full validator set."""
-    from scipy.stats import chisquare
-    observed = [counts.get(i, 0) for i in range(n_validators)]
-    if sum(observed) == 0:
-        raise PosnError("uniformity test needs at least one observation")
-    return float(chisquare(observed).pvalue)
-
-
 def finalization_gaps(log: RunLog) -> list[int]:
     """Slot distances between consecutive finalized slots; 1 everywhere
     means no finality interruptions."""

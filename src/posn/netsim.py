@@ -24,7 +24,7 @@ from .consensus import (Keyring, Node, Outgoing, Payload, Proposal, TxGossip,
 from .core import (Block, Config, ConfigError, Transaction, hash_block, i64,
                    select_mempool, u64)
 from .kernels import Stream, stream_key
-from .metrics import RunLog
+from .metrics import RunLog, conflicting_finalizations
 
 STRATEGIES = ("DelayMax", "Withhold", "Equivocate", "ForgeSpike", "Silent")
 
@@ -442,19 +442,7 @@ class Sim:
             node_finalized[i] = [[b.slot, hash_block(b).hex()]
                                  for b in chain.finalized]
 
-        violations: list[str] = []
-        per_slot: dict[int, set[str]] = {}
-        for i, blocks in node_finalized.items():
-            for slot, block_hash in blocks:
-                per_slot.setdefault(slot, set()).add(block_hash)
-        for slot in sorted(per_slot):
-            if len(per_slot[slot]) > 1:
-                violations.append(f"conflicting finalization in slot {slot}")
-        for i in honest:
-            for problem in self._bare(i).chain.check_integrity():
-                violations.append(f"node {i}: {problem}")
-
-        return RunLog(
+        log = RunLog(
             protocol=self.protocol,
             config=self.cfg.to_json(),
             master_seed=self.cfg.master_seed,
@@ -470,8 +458,13 @@ class Sim:
             penalties=[{"validator": p.validator, "slot": p.slot,
                         "amount": p.amount, "reason": p.reason}
                        for p in observer.chain.penalties_log],
-            violations=violations,
         )
+        log.violations = [f"conflicting finalization in slot {slot}"
+                          for slot in conflicting_finalizations(log)]
+        for i in honest:
+            for problem in self._bare(i).chain.check_integrity():
+                log.violations.append(f"node {i}: {problem}")
+        return log
 
 
 def run(cfg: Config, fault_plan: FaultPlan, load: LoadProfile,

@@ -25,12 +25,6 @@ import numpy as np
 from . import kernels
 from .core import Config, PosnError, Transaction, ValidatorId, u64
 
-# bool array of length tau_steps; index = micro-step, True = spike
-SpikeTrain = np.ndarray
-
-# float array of length d_embed
-FeatureVector = np.ndarray
-
 
 class RateTooHigh(PosnError):
     """Per-step spike probability r*dt reached 1; the Bernoulli
@@ -100,29 +94,11 @@ def tx_stream_key(seed: SlotSeed, tx_id: bytes) -> int:
 
 
 # ---------------------------------------------------------------------------
-# embeddings and per-tx encoding parameters
+# per-tx encoding parameters
 # ---------------------------------------------------------------------------
-
-def value_component(tx: Transaction, cfg: Config) -> float:
-    return tx.value / (tx.value + cfg.c_value)
 
 def fee_component(tx: Transaction, cfg: Config) -> float:
     return tx.fee / (tx.fee + cfg.c_fee)
-
-
-def embed_transaction(tx: Transaction, cfg: Config) -> FeatureVector:
-    """Deterministic feature vector: component 0 is the normalized value,
-    component 1 the normalized fee, the rest hash-derived in [0, 1)."""
-    vec = np.empty(cfg.d_embed, dtype=np.float64)
-    vec[0] = value_component(tx, cfg)
-    vec[1] = fee_component(tx, cfg)
-    for j in range(2, cfg.d_embed):
-        h = blake2b(digest_size=8)
-        h.update(b"posn-embed")
-        h.update(tx.id)
-        h.update(u64(j))
-        vec[j] = (int.from_bytes(h.digest(), "little") >> 11) * 2.0 ** -53
-    return vec
 
 
 def rate_for(tx: Transaction, cfg: Config) -> float:
@@ -142,37 +118,8 @@ def weight_for(tx: Transaction, cfg: Config) -> float:
 
 
 # ---------------------------------------------------------------------------
-# spike trains
+# the neuron
 # ---------------------------------------------------------------------------
-
-def rate_code(tx: Transaction, seed: SlotSeed, cfg: Config) -> SpikeTrain:
-    """Bernoulli train: each micro-step spikes independently with
-    probability rate_for(tx)*dt, drawn from the stream keyed by
-    (seed, tx.id). Raises RateTooHigh when the probability reaches 1."""
-    p = rate_for(tx, cfg) * cfg.dt_ms
-    if p >= 1.0:
-        raise RateTooHigh(f"spike probability {p} >= 1 for tx {tx.id.hex()[:8]}")
-    key = np.array([tx_stream_key(seed, tx.id)], dtype=np.uint64)
-    return kernels.rate_trains(key, np.array([p]), cfg.tau_steps)[0]
-
-
-def temporal_code(tx: Transaction, cfg: Config) -> SpikeTrain:
-    """Periodic train with interval isi_for(tx); first spike lands at
-    step isi-1."""
-    isi = np.array([isi_for(tx, cfg)], dtype=np.int64)
-    return kernels.temporal_trains(isi, cfg.tau_steps)[0]
-
-
-def compose_current(trains: Sequence[tuple[SpikeTrain, float]],
-                    step: int) -> float:
-    """Input current at one micro-step: sum of weights of trains spiking
-    there."""
-    total = 0.0
-    for train, weight in trains:
-        if train[step]:
-            total += weight
-    return total
-
 
 def lif_step(state: NeuronState, current: float,
              dt: float) -> tuple[NeuronState, bool]:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from posn.consensus import Keyring
-from posn.core import Transaction, default_config
+from posn.core import PosnError, Transaction, default_config
 from posn.crypto import Signature, keygen, sign
 
 
@@ -49,3 +49,13 @@ def make_txs(seed: int, n: int) -> list[Transaction]:
 @pytest.fixture
 def txs():
     return make_txs(7, 6)
+
+
+def leader_uniformity_p(counts: dict, n_validators: int) -> float:
+    """Chi-square goodness-of-fit p-value against the uniform leader
+    distribution, zero-padded to the full validator set."""
+    from scipy.stats import chisquare
+    observed = [counts.get(i, 0) for i in range(n_validators)]
+    if sum(observed) == 0:
+        raise PosnError("uniformity test needs at least one observation")
+    return float(chisquare(observed).pvalue)

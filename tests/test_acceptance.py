@@ -16,18 +16,13 @@ import numpy as np
 
 from posn.consensus import Keyring, collect_votes, make_vote, quorum_threshold
 from posn.core import default_config
-from posn.metrics import (
-    conflicting_finalizations,
-    export,
-    leader_uniformity_p,
-    summarize,
-)
+from posn.metrics import conflicting_finalizations, export, summarize
 from posn.neuro import NeuronState, first_spike_step, lif_step, make_slot_seed
 from posn.netsim import FaultPlan, LoadProfile, Partition, Sim, run
 from posn.scenario import build_scenario
 
 import reference
-from conftest import make_tx
+from conftest import leader_uniformity_p, make_tx
 
 
 def _ok(tag: str, detail: str) -> None:

@@ -378,7 +378,7 @@ def test_distribute_rewards_amounts(cfg4, keys4):
                               vrf_output=None)
     block = propose(leader, keys4.sk(0), 0, GENESIS_HASH, txs, election, cfg4)
     votes = _votes_for(keys4, 4, hash_block(block), voters=[0, 1, 2])
-    events = distribute_rewards(ChainState(), block, votes, cfg4)
+    events = distribute_rewards(block, votes, cfg4)
     assert [e.kind for e in events] == ["LeaderReward"] + ["VoteReward"] * 3
     assert events[0].amount == 127
     assert events[0].recipient == leader
@@ -397,7 +397,7 @@ def test_distribute_rewards_deduplicates_voters(cfg4, keys4, txs):
                               vrf_output=None)
     block = propose(leader, keys4.sk(1), 0, GENESIS_HASH, txs, election, cfg4)
     votes = _votes_for(keys4, 4, hash_block(block), voters=[1, 2, 2, 3, 3])
-    events = distribute_rewards(ChainState(), block, votes, cfg4)
+    events = distribute_rewards(block, votes, cfg4)
     assert sum(1 for e in events if e.kind == "VoteReward") == 3
 
 

@@ -13,12 +13,13 @@ from posn.metrics import (
     finalization_gaps,
     latency_stats,
     leader_entropy,
-    leader_uniformity_p,
     load_runlog,
     summarize,
     throughput,
 )
 from posn.netsim import FaultPlan, LoadProfile, run
+
+from conftest import leader_uniformity_p
 
 
 def _log(slot_records=(), tx_records=(), **kw):

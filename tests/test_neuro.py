@@ -10,17 +10,14 @@ from posn.neuro import (
     NeuronState,
     RateTooHigh,
     SlotSeed,
-    compose_current,
-    embed_transaction,
     first_spike_step,
     isi_for,
     lif_step,
     lif_trace,
     make_slot_seed,
     mix_validator,
-    rate_code,
     rate_for,
-    temporal_code,
+    spike_inputs,
     tx_stream_key,
     weight_for,
 )
@@ -78,17 +75,7 @@ def test_rate_code_raises_on_saturated_probability(cfg4):
     tx = make_tx(0, fee=10**9)  # fee component ~1 -> p ~ 1.5
     seed = make_slot_seed(GENESIS_HASH, 0, [tx])
     with pytest.raises(RateTooHigh):
-        rate_code(tx, seed, hot)
-
-
-def test_rate_code_statistics(cfg4):
-    tx = make_tx(1, value=100, fee=1000)
-    seed = make_slot_seed(GENESIS_HASH, 0, [tx])
-    wide = replace(cfg4, tau_steps=20_000)
-    train = rate_code(tx, seed, wide)
-    p = rate_for(tx, cfg4) * cfg4.dt_ms
-    # binomial(20000, 0.03): mean 600, sd ~24; allow 5 sd
-    assert abs(train.sum() - 20_000 * p) < 5 * math.sqrt(20_000 * p * (1 - p))
+        spike_inputs([tx], seed, hot)
 
 
 def test_isi_for_oracle(cfg4):
@@ -97,29 +84,9 @@ def test_isi_for_oracle(cfg4):
     assert isi_for(make_tx(0, value=1, fee=0), cfg4) == 1000
 
 
-def test_temporal_code_phase(cfg4):
-    tx = make_tx(0, value=50, fee=50)   # isi 10
-    train = temporal_code(tx, cfg4)
-    fired = np.flatnonzero(train)
-    assert fired[0] == 9
-    assert all(np.diff(fired) == 10)
-
-
 def test_weight_for(cfg4):
     assert weight_for(make_tx(0, fee=0), cfg4) == 1.0
     assert weight_for(make_tx(0, fee=1000), cfg4) == 1.5
-
-
-def test_embed_transaction_shape_and_range(cfg4):
-    tx = make_tx(3, value=1000, fee=1000)
-    vec = embed_transaction(tx, cfg4)
-    assert vec.shape == (cfg4.d_embed,)
-    assert vec[0] == pytest.approx(0.5)
-    assert vec[1] == pytest.approx(0.5)
-    assert ((0 <= vec) & (vec < 1)).all()
-    assert (embed_transaction(tx, cfg4) == vec).all()
-    other = embed_transaction(make_tx(4, value=1000, fee=1000), cfg4)
-    assert not (other[2:] == vec[2:]).all()
 
 
 def test_validator_mix_changes_trains(cfg4, txs):
@@ -129,12 +96,6 @@ def test_validator_mix_changes_trains(cfg4, txs):
     assert mix_validator(seed, 0) == a
     assert tx_stream_key(a, txs[0].id) != tx_stream_key(b, txs[0].id)
     assert tx_stream_key(a, txs[0].id) != tx_stream_key(a, txs[1].id)
-
-
-def test_compose_current(cfg4):
-    trains = [(np.array([True, False]), 1.5), (np.array([True, True]), 2.0)]
-    assert compose_current(trains, 0) == 3.5
-    assert compose_current(trains, 1) == 2.0
 
 
 def test_first_spike_step_no_txs(cfg4, keys4):
