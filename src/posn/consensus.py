@@ -18,7 +18,7 @@ from . import crypto
 from .core import (Block, ChainState, Config, PenaltyEntry, PosnError,
                    Transaction, ValidatorId, Vote, append_block, hash_block,
                    select_mempool, u64)
-from .neuro import SlotSeed, first_spike_step, make_slot_seed
+from .neuro import SlotSeed, first_spike_step, make_slot_seed, spike_params
 
 # slot outcomes; Skipped is the timeout exit
 FINALIZED = "Finalized"
@@ -187,8 +187,41 @@ def check_signatures(block: Block, keys: Keyring) -> Optional[str]:
 def compute_fire_steps(validators: Sequence[ValidatorId],
                        spike_txs: Sequence[Transaction], seed: SlotSeed,
                        cfg: Config) -> dict[ValidatorId, Optional[int]]:
-    return {vid: first_spike_step(vid, spike_txs, seed, cfg)
+    params = spike_params(spike_txs, cfg)
+    return {vid: first_spike_step(vid, spike_txs, seed, cfg, params=params)
             for vid in validators}
+
+
+# context computed once per (slot, parent, spike set); the harness passes
+# a memoized lookup since every honest node derives identical values
+@dataclass(frozen=True)
+class SlotContext:
+    fire_steps: dict[ValidatorId, Optional[int]]
+    election: Optional[ElectionResult]
+
+
+ReplayFn = Callable[[int, bytes, tuple[Transaction, ...]], SlotContext]
+
+
+def compute_slot_context(slot: int, parent_hash: bytes,
+                         spike_txs: tuple[Transaction, ...], cfg: Config,
+                         keys: Keyring) -> SlotContext:
+    seed = make_slot_seed(parent_hash, slot, spike_txs)
+    steps = compute_fire_steps(keys.validators, spike_txs, seed, cfg)
+    return SlotContext(fire_steps=steps,
+                       election=elect_leader(steps, slot, parent_hash, keys))
+
+
+def _refuted_by_replay(block: Block, ctx: SlotContext) -> Optional[str]:
+    """Why the slot's replay refutes the block's claim, or None: the
+    proposer's neuron did not fire at the claimed step, or it did not
+    win the election. The proposer must be a known validator."""
+    replayed = ctx.fire_steps[block.proposer]
+    if replayed is None or replayed != block.claimed_fire_step:
+        return "SpikeMismatch"
+    if ctx.election is None or ctx.election.leader != block.proposer:
+        return "NotElected"
+    return None
 
 
 def validate_proposal(block: Block, slot: int, parent_hash: bytes,
@@ -214,14 +247,10 @@ def validate_proposal(block: Block, slot: int, parent_hash: bytes,
         ctx = compute_slot_context(
             slot, parent_hash, select_mempool(snapshot, cfg.spike_snapshot_cap),
             cfg, keys)
-    # check_signatures admitted only known proposers, so the key is there
-    replayed = ctx.fire_steps[block.proposer]
-    if replayed is None or replayed != block.claimed_fire_step:
-        return Verdict.reject("SpikeMismatch")
-
+    refuted = _refuted_by_replay(block, ctx)
+    if refuted is not None:
+        return Verdict.reject(refuted)
     election = ctx.election
-    if election is None or election.leader != block.proposer:
-        return Verdict.reject("NotElected")
     if election.vrf_used:
         if block.vrf_output is None or not crypto.vrf_verify(
                 block.proposer.pk, election_data(slot, parent_hash),
@@ -274,8 +303,13 @@ def distribute_rewards(block: Block, quorum: Sequence[Vote],
     return tuple(events)
 
 
-def verify_evidence(evidence: Evidence, cfg: Config, keys: Keyring) -> None:
-    """Raise InvalidEvidence unless the evidence is self-proving."""
+def verify_evidence(evidence: Evidence, cfg: Config, keys: Keyring,
+                    replay: Optional[ReplayFn] = None) -> None:
+    """Raise InvalidEvidence unless the evidence is self-proving.
+
+    A forged spike is checked against the replay of its slot: `replay`
+    returns that slot's context (a node passes its memoized one), and
+    without it the context is computed from the evidence."""
     if isinstance(evidence, Equivocation):
         a, b = evidence.block_a, evidence.block_b
         if a.slot != b.slot or a.proposer != b.proposer:
@@ -296,15 +330,13 @@ def verify_evidence(evidence: Evidence, cfg: Config, keys: Keyring) -> None:
         if blk.proposer_signature is None or not crypto.verify(
                 blk.proposer.pk, blk.core_bytes(), blk.proposer_signature):
             raise InvalidEvidence("bad block signature")
-        seed = make_slot_seed(evidence.parent_hash, blk.slot,
-                              evidence.spike_txs)
-        replayed = first_spike_step(blk.proposer, evidence.spike_txs, seed, cfg)
-        if replayed is not None and replayed == blk.claimed_fire_step:
-            steps = compute_fire_steps(keys.validators, evidence.spike_txs,
-                                       seed, cfg)
-            election = elect_leader(steps, blk.slot, evidence.parent_hash, keys)
-            if election is not None and election.leader == blk.proposer:
-                raise InvalidEvidence("replay matches the claim")
+        if replay is None:
+            ctx = compute_slot_context(blk.slot, evidence.parent_hash,
+                                       evidence.spike_txs, cfg, keys)
+        else:
+            ctx = replay(blk.slot, evidence.parent_hash, evidence.spike_txs)
+        if _refuted_by_replay(blk, ctx) is None:
+            raise InvalidEvidence("replay matches the claim")
         return
     raise InvalidEvidence(f"unknown evidence type {type(evidence).__name__}")
 
@@ -318,12 +350,13 @@ def evidence_key(evidence: Evidence) -> tuple[str, int, int]:
 
 
 def apply_penalty(chain: ChainState, evidence: Evidence, cfg: Config,
-                  keys: Keyring) -> tuple[ChainState, tuple[RewardEvent, ...]]:
+                  keys: Keyring, replay: Optional[ReplayFn] = None
+                  ) -> tuple[ChainState, tuple[RewardEvent, ...]]:
     """Penalize a proven offense: balance cut, burned by default or split
     across the other validators when cfg.penalty_redistribute is set.
     Idempotent per (offense, offender, slot); invalid evidence raises and
-    changes nothing."""
-    verify_evidence(evidence, cfg, keys)
+    changes nothing. `replay` is passed on to `verify_evidence`."""
+    verify_evidence(evidence, cfg, keys, replay=replay)
     reason, offender, slot = evidence_key(evidence)
     for entry in chain.penalties_log:
         if (entry.reason, entry.validator, entry.slot) == (reason, offender, slot):
@@ -398,26 +431,6 @@ class Outgoing:
     send_at: float
     payload: Payload
     dest: Optional[int] = BROADCAST  # validator index, None = everyone
-
-
-# context computed once per (slot, parent, spike set); the harness passes
-# a memoized lookup since every honest node derives identical values
-@dataclass(frozen=True)
-class SlotContext:
-    fire_steps: dict[ValidatorId, Optional[int]]
-    election: Optional[ElectionResult]
-
-
-ReplayFn = Callable[[int, bytes, tuple[Transaction, ...]], SlotContext]
-
-
-def compute_slot_context(slot: int, parent_hash: bytes,
-                         spike_txs: tuple[Transaction, ...], cfg: Config,
-                         keys: Keyring) -> SlotContext:
-    seed = make_slot_seed(parent_hash, slot, spike_txs)
-    steps = compute_fire_steps(keys.validators, spike_txs, seed, cfg)
-    return SlotContext(fire_steps=steps,
-                       election=elect_leader(steps, slot, parent_hash, keys))
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +670,7 @@ class Node:
         self.evidence_seen.add(key)
         try:
             self.chain, events = apply_penalty(self.chain, evidence, self.cfg,
-                                               self.keys)
+                                               self.keys, replay=self._replay)
         except InvalidEvidence:
             return False
         self.penalty_events.extend(events)

@@ -59,25 +59,6 @@ def i64(x: int) -> bytes:
     return int(x).to_bytes(8, "little", signed=True)
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ValueError("truncated canonical encoding")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "little")
-
-    def u64(self) -> int:
-        return int.from_bytes(self.take(8), "little")
-
-
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -104,12 +85,6 @@ class Transaction:
         return (self.id + self.sender + self.receiver + u64(self.value)
                 + u64(self.fee) + self.signature.tag)
 
-    @classmethod
-    def from_bytes(cls, data) -> "Transaction":
-        r = data if isinstance(data, _Reader) else _Reader(data)
-        return cls(id=r.take(32), sender=r.take(32), receiver=r.take(32),
-                   value=r.u64(), fee=r.u64(), signature=Signature(r.take(32)))
-
     def to_json(self) -> dict:
         return {
             "id": self.id.hex(),
@@ -119,12 +94,6 @@ class Transaction:
             "fee": self.fee,
             "signature": self.signature.tag.hex(),
         }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "Transaction":
-        return cls(id=bytes.fromhex(d["id"]), sender=bytes.fromhex(d["sender"]),
-                   receiver=bytes.fromhex(d["receiver"]), value=d["value"],
-                   fee=d["fee"], signature=Signature(bytes.fromhex(d["signature"])))
 
 
 @dataclass(frozen=True)
@@ -172,29 +141,6 @@ class Block:
         sig = self.proposer_signature.tag if self.proposer_signature else b"\x00" * 32
         core = self.core_bytes()
         return u32(len(core)) + core + sig
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Block":
-        r = _Reader(data)
-        core_len = r.u32()
-        r.take(len(b"posn-block"))
-        slot = r.u64()
-        index = r.u32()
-        pk = r.take(32)
-        parent = r.take(32)
-        n_txs = r.u32()
-        txs = tuple(Transaction.from_bytes(r) for _ in range(n_txs))
-        step = int.from_bytes(r.take(8), "little", signed=True)
-        vrf = None
-        if r.take(1) == b"\x01":
-            vrf = VrfOutput(value=r.take(32), proof=r.take(32))
-        if r.pos != 4 + core_len:
-            raise ValueError("block core length mismatch")
-        sig_tag = r.take(32)
-        sig = None if sig_tag == b"\x00" * 32 else Signature(sig_tag)
-        return cls(slot=slot, proposer=ValidatorId(index, pk), parent_hash=parent,
-                   txs=txs, claimed_fire_step=step, vrf_output=vrf,
-                   proposer_signature=sig)
 
     def to_json(self) -> dict:
         return {
@@ -251,10 +197,6 @@ class ChainState:
     @property
     def tip_hash(self) -> bytes:
         return hash_block(self.finalized[-1]) if self.finalized else GENESIS_HASH
-
-    @property
-    def height(self) -> int:
-        return len(self.finalized)
 
     def balance(self, validator: int) -> int:
         return self.balances.get(validator, 0)

@@ -11,6 +11,11 @@ The earliest spike step doubles as the validator's election bid, so the
 whole pipeline must be replayable bit-for-bit by any peer. Stochastic
 trains therefore draw from counter-based streams keyed by a seed only
 available once the slot's transaction set is fixed.
+
+A race replays every validator over one spike set. The per-tx rates,
+intervals and weights (`spike_params`) do not depend on the validator,
+so they are computed once per spike set and shared; only the stream
+keys (`tx_stream_keys`) are derived per validator.
 """
 
 from __future__ import annotations
@@ -84,13 +89,16 @@ def mix_validator(seed: SlotSeed, validator_index: int) -> SlotSeed:
     return SlotSeed(h.digest())
 
 
-def tx_stream_key(seed: SlotSeed, tx_id: bytes) -> int:
-    """64-bit counter-stream key for one (seed, tx) pair."""
-    h = blake2b(digest_size=8)
-    h.update(b"posn-txstream")
-    h.update(seed.data)
-    h.update(tx_id)
-    return int.from_bytes(h.digest(), "little")
+def tx_stream_keys(seed: SlotSeed, tx_ids: Sequence[bytes]) -> np.ndarray:
+    """64-bit counter-stream key of each (seed, tx) pair: blake2b-64 of
+    b"posn-txstream" + seed + tx id, the prefix hashed once and copied."""
+    prefix = blake2b(b"posn-txstream" + seed.data, digest_size=8)
+    digests = []
+    for tx_id in tx_ids:
+        h = prefix.copy()
+        h.update(tx_id)
+        digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), dtype="<u8").astype(np.uint64)
 
 
 # ---------------------------------------------------------------------------
@@ -140,35 +148,43 @@ def encoding_flags(cfg: Config) -> tuple[bool, bool]:
             cfg.encoding in ("temporal", "both"))
 
 
-def spike_inputs(txs: Sequence[Transaction], seed: SlotSeed,
-                 cfg: Config) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                       np.ndarray]:
+# per-tx kernel parameters of one spike set: (probs, isis, weights)
+SpikeParams = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def spike_params(txs: Sequence[Transaction], cfg: Config) -> SpikeParams:
+    """Per-tx rate probabilities, intervals and weights; they do not
+    depend on the validator. Checks the rate bound once for the lot."""
+    probs = np.array([rate_for(tx, cfg) * cfg.dt_ms for tx in txs],
+                     dtype=np.float64)
+    if probs.size and probs.max() >= 1.0:
+        raise RateTooHigh(f"spike probability {probs.max()} >= 1")
+    isis = np.array([isi_for(tx, cfg) for tx in txs], dtype=np.int64)
+    weights = np.array([weight_for(tx, cfg) for tx in txs], dtype=np.float64)
+    return probs, isis, weights
+
+
+def spike_inputs(txs: Sequence[Transaction], seed: SlotSeed, cfg: Config,
+                 params: Optional[SpikeParams] = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-tx kernel arrays (keys, probs, isis, weights) under a
-    validator-mixed seed. Checks the rate bound once for the lot."""
-    n = len(txs)
-    keys = np.empty(n, dtype=np.uint64)
-    probs = np.empty(n, dtype=np.float64)
-    isis = np.empty(n, dtype=np.int64)
-    weights = np.empty(n, dtype=np.float64)
-    for k, tx in enumerate(txs):
-        keys[k] = tx_stream_key(seed, tx.id)
-        p = rate_for(tx, cfg) * cfg.dt_ms
-        if p >= 1.0:
-            raise RateTooHigh(f"spike probability {p} >= 1")
-        probs[k] = p
-        isis[k] = isi_for(tx, cfg)
-        weights[k] = weight_for(tx, cfg)
-    return keys, probs, isis, weights
+    validator-mixed seed. `params` are the spike set's `spike_params`,
+    computed here when absent."""
+    if params is None:
+        params = spike_params(txs, cfg)
+    return (tx_stream_keys(seed, [tx.id for tx in txs]),) + params
 
 
 def first_spike_step(validator: ValidatorId, txs: Sequence[Transaction],
-                     seed: SlotSeed, cfg: Config) -> Optional[int]:
+                     seed: SlotSeed, cfg: Config,
+                     params: Optional[SpikeParams] = None) -> Optional[int]:
     """Earliest micro-step at which this validator's neuron fires for the
     given transaction set, or None if it stays below threshold for the
     whole slot. Pure function of its arguments; this is the replay that
-    peers run to validate a leader's claim."""
+    peers run to validate a leader's claim. A caller replaying several
+    validators over one spike set passes its `spike_params` once."""
     vseed = mix_validator(seed, validator.index)
-    keys, probs, isis, weights = spike_inputs(txs, vseed, cfg)
+    keys, probs, isis, weights = spike_inputs(txs, vseed, cfg, params)
     use_rate, use_temporal = encoding_flags(cfg)
     step = kernels.first_fire(keys, probs, isis, weights, cfg.tau_steps,
                               cfg.decay, cfg.theta, use_rate, use_temporal)

@@ -457,6 +457,89 @@ def test_honest_block_is_not_forgery_evidence(cfg4, keys4, txs):
                         cfg4, keys4)
 
 
+def _evidence_verdicts(cfg, keys, cases, replay=None):
+    """Per case: whether verify_evidence accepts it, and what
+    apply_penalty makes of a fresh chain (None when it raises)."""
+    out = []
+    for _, evidence in cases:
+        try:
+            verify_evidence(evidence, cfg, keys, replay=replay)
+            verified = True
+        except InvalidEvidence:
+            verified = False
+        chain = ChainState(balances={evidence.block.proposer.index: 500})
+        try:
+            penalized = apply_penalty(chain, evidence, cfg, keys,
+                                      replay=replay)
+        except InvalidEvidence:
+            penalized = None
+        out.append((verified, penalized))
+    return out
+
+
+def _assert_replay_agrees(cfg, keys, cases, monkeypatch):
+    plain = _evidence_verdicts(cfg, keys, cases)
+    assert [verified for verified, _ in plain] == [v for v, _ in cases]
+    assert [p is not None for _, p in plain] == [v for v, _ in cases]
+
+    memo = {}
+    for _, ev in cases:
+        key = (ev.block.slot, ev.parent_hash, ev.spike_txs)
+        memo[key] = compute_slot_context(*key, cfg, keys)
+    looked_up = []
+
+    def replay(slot, parent_hash, spike_txs):
+        looked_up.append(slot)
+        return memo[(slot, parent_hash, spike_txs)]
+
+    # with the slot's replay given, no neuron is replayed again
+    def no_replay(*args, **kwargs):
+        raise AssertionError("first_spike_step called despite replay")
+
+    monkeypatch.setattr("posn.consensus.first_spike_step", no_replay)
+    assert _evidence_verdicts(cfg, keys, cases, replay=replay) == plain
+    assert len(looked_up) == 2 * len(cases)
+
+
+def test_evidence_with_and_without_replay_agree(cfg4, keys4, accepted_block,
+                                                monkeypatch):
+    mempool, block, election = accepted_block
+    spike_txs = select_mempool(mempool, cfg4.spike_snapshot_cap)
+    seed = make_slot_seed(GENESIS_HASH, 0, spike_txs)
+    steps = compute_fire_steps(keys4.validators, spike_txs, seed, cfg4)
+    other = next(v for v in keys4.validators
+                 if v != election.leader and steps[v] is not None)
+    forged = [
+        # an honest block proves nothing
+        (False, block),
+        # a fire step the replay does not give
+        (True, _resign(block, keys4,
+                       claimed_fire_step=block.claimed_fire_step + 1)),
+        # the right step from a proposer who was not elected
+        (True, _resign(block, keys4, proposer=other,
+                       claimed_fire_step=steps[other], vrf_output=None)),
+    ]
+    cases = [(valid, ForgedSpike(blk, spike_txs, GENESIS_HASH))
+             for valid, blk in forged]
+    _assert_replay_agrees(cfg4, keys4, cases, monkeypatch)
+
+
+def test_evidence_with_and_without_replay_agree_on_vrf(cfg7, keys7, txs,
+                                                       monkeypatch):
+    mempool, spike_txs, seed, election = _electable(cfg7, keys7, txs)
+    if not election.vrf_used:
+        pytest.skip("no tie in this draw")
+    leader = election.leader
+    block = propose(leader, keys7.sk(leader.index), 0, GENESIS_HASH,
+                    mempool, election, cfg7)
+    # fired at the winning step too, but lost the VRF tie-break
+    loser = min(election.tie_set - {leader}, key=lambda v: v.index)
+    lost = _resign(block, keys7, proposer=loser, vrf_output=None)
+    cases = [(False, ForgedSpike(block, spike_txs, GENESIS_HASH)),
+             (True, ForgedSpike(lost, spike_txs, GENESIS_HASH))]
+    _assert_replay_agrees(cfg7, keys7, cases, monkeypatch)
+
+
 def test_apply_penalty_burns_by_default(cfg4, keys4, txs):
     a, b = _two_blocks_same_slot(cfg4, keys4, txs)
     chain = ChainState(balances={2: 500})

@@ -1,3 +1,4 @@
+import collections
 import subprocess
 import sys
 
@@ -6,16 +7,16 @@ import pytest
 from scipy.signal import lfilter
 
 from posn.kernels import (
+    CHUNK_STEPS,
     GOLDEN,
     Stream,
-    composite_current,
     first_fire,
     lif_first_fire_from_current,
     mix64,
-    rate_trains,
+    spike_trains,
     stream_key,
-    temporal_trains,
 )
+import posn.kernels as kernels
 
 from reference import SplitMix64
 
@@ -60,27 +61,156 @@ def test_stream_key_respects_part_boundaries():
     assert stream_key(b"ab") != stream_key(b"ab", b"")
 
 
+# --- the whole-matrix reference ---------------------------------------------
+# The kernel as it was before it drew the trains in chunks: the full
+# (K, T) spike matrices, summed train by train into one current, then
+# scanned. The chunked kernel must equal it bit for bit.
+
+def _rate_trains(keys, probs, n_steps):
+    keys = np.asarray(keys, dtype=np.uint64)
+    steps = np.arange(1, n_steps + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        x = keys[:, None] + steps[None, :] * np.uint64(GOLDEN)
+    u = (kernels._mix64_np(x) >> np.uint64(11)).astype(np.float64) \
+        * 2.0 ** -53
+    return u < np.asarray(probs, dtype=np.float64)[:, None]
+
+
+def _temporal_trains(isis, n_steps):
+    isis = np.asarray(isis, dtype=np.int64)
+    steps = np.arange(1, n_steps + 1, dtype=np.int64)
+    return (steps[None, :] % isis[:, None]) == 0
+
+
+def _composite_current(weights, *spike_mats):
+    current = np.zeros(spike_mats[0].shape[1], dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    for mat in spike_mats:
+        for k in range(mat.shape[0]):
+            current += w[k] * mat[k].astype(np.float64)
+    return current
+
+
+def _whole_matrix_first_fire(keys, probs, isis, weights, n_steps, decay,
+                             theta, use_rate, use_temporal):
+    mats = []
+    if use_rate:
+        mats.append(_rate_trains(keys, probs, n_steps))
+    if use_temporal:
+        mats.append(_temporal_trains(isis, n_steps))
+    if not mats or len(keys) == 0:
+        return -1
+    current = _composite_current(weights, *mats)
+    v = 0.0
+    for t, i_t in enumerate(current.tolist()):
+        v = decay * v + i_t
+        if v >= theta:
+            return t
+    return -1
+
+
 def test_rate_trains_follow_stream_draws():
     key = stream_key(b"train")
-    trains = rate_trains(np.array([key], dtype=np.uint64),
-                         np.array([0.3]), 100)
+    keys, probs = np.array([key], dtype=np.uint64), np.array([0.3])
+    trains = spike_trains(keys, probs, np.array([1]), 0, 100)
     s = Stream(key)
     expect = [s.next_float() < 0.3 for _ in range(100)]
     assert trains[0].tolist() == expect
+    # a window draws the same steps as the whole slot
+    assert spike_trains(keys, probs, np.array([1]), 37, 100)[0].tolist() \
+        == expect[37:]
 
 
 def test_temporal_trains_period_and_phase():
-    trains = temporal_trains(np.array([4, 1], dtype=np.int64), 12)
+    isis = np.array([4, 1], dtype=np.int64)
+    trains = spike_trains(np.zeros(2, np.uint64), np.zeros(2), isis, 0, 12,
+                          use_rate=False, use_temporal=True)
     assert trains[0].tolist() == [False, False, False, True] * 3
     assert trains[1].all()
+    window = spike_trains(np.zeros(2, np.uint64), np.zeros(2), isis, 5, 12,
+                          use_rate=False, use_temporal=True)
+    assert window.tolist() == trains[:, 5:].tolist()
+
+
+def test_spike_trains_stack_rate_rows_first():
+    keys = np.array([stream_key(b"a"), stream_key(b"b")], dtype=np.uint64)
+    probs, isis = np.array([0.4, 0.7]), np.array([3, 5])
+    both = spike_trains(keys, probs, isis, 4, 29, True, True)
+    assert both.tolist() == (_rate_trains(keys, probs, 29)[:, 4:].tolist()
+                             + _temporal_trains(isis, 29)[:, 4:].tolist())
 
 
 def test_composite_current_sums_weights():
     rate = np.array([[True, False], [True, True]])
     temp = np.array([[False, True], [True, False]])
     w = np.array([2.0, 0.5])
-    current = composite_current(w, rate, temp)
+    current = _composite_current(w, rate, temp)
     assert current.tolist() == [2.0 + 0.5 + 0.5, 0.5 + 2.0]
+
+
+def _random_case(rng):
+    k = int(rng.integers(0, 41))
+    n_steps = int(rng.integers(0, 300))
+    keys = rng.integers(0, 2**64, size=k, dtype=np.uint64)
+    probs = rng.uniform(0.0, 0.3, size=k)
+    isis = rng.integers(1, 3 * CHUNK_STEPS, size=k)
+    weights = rng.uniform(0.5, 2.0, size=k)
+    decay = float(rng.uniform(0.5, 0.999))
+    # thresholds from "fires at once" to "never fires" for this load
+    theta = float(rng.uniform(0.05, 3.0) * (1.0 + k * 0.3) / (1.0 - decay)
+                  ** rng.uniform(0.0, 0.6))
+    use_rate, use_temporal = [(True, False), (False, True),
+                              (True, True)][int(rng.integers(0, 3))]
+    return (keys, probs, isis, weights, n_steps, decay, theta, use_rate,
+            use_temporal)
+
+
+def test_first_fire_matches_whole_matrix_reference():
+    rng = np.random.default_rng(11)
+    seen = collections.Counter()
+    for _ in range(6000):
+        case = _random_case(rng)
+        got = first_fire(*case)
+        assert got == _whole_matrix_first_fire(*case), case
+        k, n_steps = len(case[0]), case[4]
+        seen["K=0"] += k == 0
+        seen["T not a multiple"] += n_steps % CHUNK_STEPS != 0
+        seen["never fires"] += k > 0 and got == -1
+        seen["last step of a chunk"] += got >= 0 \
+            and got % CHUNK_STEPS == CHUNK_STEPS - 1
+        seen["first step of a later chunk"] += got >= CHUNK_STEPS \
+            and got % CHUNK_STEPS == 0
+        seen[case[7:]] += 1
+    assert len(seen) == 8 and min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("isi, fires_at", [
+    (CHUNK_STEPS, CHUNK_STEPS - 1),      # last step of the first chunk
+    (CHUNK_STEPS + 1, CHUNK_STEPS),      # first step of the second chunk
+    (2 * CHUNK_STEPS, 2 * CHUNK_STEPS - 1),
+])
+def test_first_fire_crossing_at_a_chunk_boundary(isi, fires_at):
+    # one temporal train whose first spike alone reaches the threshold
+    case = (np.zeros(1, np.uint64), np.zeros(1), np.array([isi]),
+            np.array([1.0]), 3 * CHUNK_STEPS, 0.9, 1.0, False, True)
+    assert first_fire(*case) == _whole_matrix_first_fire(*case) == fires_at
+    # a slot that ends just before the spike never fires
+    short = case[:4] + (fires_at,) + case[5:]
+    assert first_fire(*short) == _whole_matrix_first_fire(*short) == -1
+
+
+def test_first_fire_draws_nothing_after_the_crossing(monkeypatch):
+    windows = []
+
+    def recording(keys, probs, isis, t0, t1, *flags):
+        windows.append((t0, t1))
+        return spike_trains(keys, probs, isis, t0, t1, *flags)
+
+    monkeypatch.setattr(kernels, "spike_trains", recording)
+    case = (np.zeros(1, np.uint64), np.zeros(1), np.array([CHUNK_STEPS + 1]),
+            np.array([1.0]), 250, 0.9, 1.0, False, True)
+    assert first_fire(*case) == CHUNK_STEPS
+    assert windows == [(0, CHUNK_STEPS), (CHUNK_STEPS, 2 * CHUNK_STEPS)]
 
 
 def test_first_fire_from_current_matches_loop():

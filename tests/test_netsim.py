@@ -208,6 +208,38 @@ def test_forged_spikes_never_finalize_without_election():
                for r in log.slot_records)
 
 
+def test_evidence_costs_no_replay(monkeypatch):
+    # every neuron replay happens inside a slot context, N per context,
+    # so checking equivocation and forged-spike evidence replays nothing
+    import posn.consensus as consensus
+    import posn.netsim as netsim
+
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(consensus, "first_spike_step", counting(
+        "first_spike_step", consensus.first_spike_step))
+    ctx = counting("compute_slot_context", consensus.compute_slot_context)
+    monkeypatch.setattr(consensus, "compute_slot_context", ctx)
+    monkeypatch.setattr(netsim, "compute_slot_context", ctx)
+    monkeypatch.setattr(consensus, "apply_penalty", counting(
+        "apply_penalty", consensus.apply_penalty))
+    cfg = default_config(7, master_seed=2, encoding="both")
+    plan = FaultPlan(byzantine={5: "Equivocate", 6: "ForgeSpike"})
+    log = Sim(cfg, plan, _load(250.0, 6 * cfg.slot_ms())).run()
+    assert log.violations == []
+    assert {p["reason"] for p in log.penalties} == {"equivocation",
+                                                    "forged_spike"}
+    assert calls["apply_penalty"] > 0
+    assert calls["first_spike_step"] == 7 * calls["compute_slot_context"]
+    assert calls["compute_slot_context"] <= 6
+
+
 def test_equivocating_leaders_conflict_free_across_nodes():
     for seed in (3, 5, 8):
         _, log = _byz_run("Equivocate", n=4, idx=(3,), seed=seed)

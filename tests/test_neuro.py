@@ -18,7 +18,7 @@ from posn.neuro import (
     mix_validator,
     rate_for,
     spike_inputs,
-    tx_stream_key,
+    spike_params,
     weight_for,
 )
 
@@ -78,6 +78,19 @@ def test_rate_code_raises_on_saturated_probability(cfg4):
         spike_inputs([tx], seed, hot)
 
 
+def test_spike_params_are_shared_across_validators(cfg7, keys7):
+    txs = make_txs(61, 40)
+    seed = make_slot_seed(GENESIS_HASH, 2, txs)
+    params = spike_params(txs, cfg7)
+    for v in keys7.validators:
+        assert first_spike_step(v, txs, seed, cfg7, params=params) == \
+            first_spike_step(v, txs, seed, cfg7)
+        vseed = mix_validator(seed, v.index)
+        shared = spike_inputs(txs, vseed, cfg7, params)
+        for got, want in zip(shared, spike_inputs(txs, vseed, cfg7)):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
 def test_isi_for_oracle(cfg4):
     assert isi_for(make_tx(0, value=50, fee=50), cfg4) == 10
     assert isi_for(make_tx(0, value=10**9, fee=0), cfg4) == 1
@@ -94,8 +107,13 @@ def test_validator_mix_changes_trains(cfg4, txs):
     a, b = mix_validator(seed, 0), mix_validator(seed, 1)
     assert a != b
     assert mix_validator(seed, 0) == a
-    assert tx_stream_key(a, txs[0].id) != tx_stream_key(b, txs[0].id)
-    assert tx_stream_key(a, txs[0].id) != tx_stream_key(a, txs[1].id)
+    keys_a = spike_inputs(txs, a, cfg4)[0].tolist()
+    keys_b = spike_inputs(txs, b, cfg4)[0].tolist()
+    assert keys_a[0] != keys_b[0]
+    assert keys_a[0] != keys_a[1]
+    # the prefix-copied keys are the contract's blake2b(tag, seed, tx id)
+    assert keys_a == [reference.tx_key(a.data, tx.id) for tx in txs]
+    assert keys_b == [reference.tx_key(b.data, tx.id) for tx in txs]
 
 
 def test_first_spike_step_no_txs(cfg4, keys4):
