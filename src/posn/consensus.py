@@ -92,22 +92,52 @@ class ForgedSpike:
 Evidence = Union[Equivocation, ForgedSpike]
 
 
+# key indices of the transaction submitters; entity ids at/above this are
+# clients, below it validators
+CLIENT_BASE = 10_000
+
+
 class Keyring:
-    """All validator keypairs of one simulated network, index-addressed.
+    """The key store of one simulated network: every validator and client
+    key pair, index-addressed, and the signatures already checked.
 
     A real deployment would hold one secret key per process; the
     simulation keeps the full set so elections and VRF checks can be
     recomputed by any node, mirroring broadcast VRF proofs without
-    modeling them as messages.
+    modeling them as messages. It is also the pk -> sk map that
+    `crypto.verify` reads, so keys never leak from one run into another.
+
+    `check` and `check_vrf` verify an input once and trust it after that,
+    as a node trusts what it admitted to its mempool. Only inputs that
+    verified are remembered, so a forgery is checked every time. They are
+    kept in two generations, and `rotate` drops the older one; the harness
+    rotates once per slot, so the set is bounded by slots, not by the run
+    length. A miss after a rotation just verifies again, so rotating never
+    changes a verdict.
     """
 
-    def __init__(self, master_seed: int, n: int):
+    def __init__(self, master_seed: int, n: int, n_clients: int = 0):
         self.pairs = tuple(crypto.keygen(master_seed, i) for i in range(n))
+        self.clients = tuple(crypto.keygen(master_seed, CLIENT_BASE + i)
+                             for i in range(n_clients))
         self.validators = tuple(ValidatorId(i, kp.pk)
                                 for i, kp in enumerate(self.pairs))
+        self._secrets: dict[bytes, bytes] = {}
+        for kp in self.pairs + self.clients:
+            self.add(kp)
+        # verified inputs, this generation and the one before
+        self._checked: set[tuple] = set()
+        self._older: set[tuple] = set()
 
     def __len__(self) -> int:
         return len(self.pairs)
+
+    def add(self, kp: crypto.KeyPair) -> None:
+        """Hold one more key pair, so signatures under it verify."""
+        self._secrets[kp.pk] = kp.sk
+
+    def secret(self, pk: bytes) -> Optional[bytes]:
+        return self._secrets.get(pk)
 
     def sk(self, index: int) -> bytes:
         return self.pairs[index].sk
@@ -118,6 +148,31 @@ class Keyring:
     def known(self, vid: ValidatorId) -> bool:
         return (0 <= vid.index < len(self.validators)
                 and self.validators[vid.index].pk == vid.pk)
+
+    def check(self, pk: bytes, msg: bytes, sig: crypto.Signature) -> bool:
+        """`crypto.verify`, run only for a (pk, msg, tag) not yet verified."""
+        key = (pk, msg, sig.tag)
+        if key in self._checked:
+            return True
+        if key in self._older or crypto.verify(pk, msg, sig, store=self):
+            self._checked.add(key)
+            return True
+        return False
+
+    def check_vrf(self, pk: bytes, data: bytes,
+                  out: crypto.VrfOutput) -> bool:
+        """`crypto.vrf_verify`, run only for an output not yet verified."""
+        key = (pk, data, out)
+        if key in self._checked:
+            return True
+        if key in self._older or crypto.vrf_verify(pk, data, out, store=self):
+            self._checked.add(key)
+            return True
+        return False
+
+    def rotate(self) -> None:
+        """Start a new generation of checked inputs; drop the oldest."""
+        self._older, self._checked = self._checked, set()
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +230,11 @@ def propose(leader: ValidatorId, sk: bytes, slot: int, parent_hash: bytes,
 def check_signatures(block: Block, keys: Keyring) -> Optional[str]:
     if not keys.known(block.proposer):
         return "UnknownProposer"
-    if block.proposer_signature is None or not crypto.verify(
+    if block.proposer_signature is None or not keys.check(
             block.proposer.pk, block.core_bytes(), block.proposer_signature):
         return "BadBlockSignature"
     for tx in block.txs:
-        if not crypto.verify(tx.sender, tx.signing_bytes(), tx.signature):
+        if not keys.check(tx.sender, tx.signing_bytes(), tx.signature):
             return "BadTxSignature"
     return None
 
@@ -252,7 +307,7 @@ def validate_proposal(block: Block, slot: int, parent_hash: bytes,
         return Verdict.reject(refuted)
     election = ctx.election
     if election.vrf_used:
-        if block.vrf_output is None or not crypto.vrf_verify(
+        if block.vrf_output is None or not keys.check_vrf(
                 block.proposer.pk, election_data(slot, parent_hash),
                 block.vrf_output):
             return Verdict.reject("VrfMismatch")
@@ -272,7 +327,7 @@ def collect_votes(votes: Iterable[Vote], block_hash: bytes, n: int,
             continue
         if v.voter.index in seen:
             continue
-        if crypto.verify(v.voter.pk, v.signing_bytes(), v.signature):
+        if keys.check(v.voter.pk, v.signing_bytes(), v.signature):
             seen[v.voter.index] = v
     quorum = tuple(seen.values())
     return len(quorum) >= quorum_threshold(n), quorum
@@ -319,7 +374,7 @@ def verify_evidence(evidence: Evidence, cfg: Config, keys: Keyring,
         for blk in (a, b):
             if not keys.known(blk.proposer):
                 raise InvalidEvidence("unknown proposer")
-            if blk.proposer_signature is None or not crypto.verify(
+            if blk.proposer_signature is None or not keys.check(
                     blk.proposer.pk, blk.core_bytes(), blk.proposer_signature):
                 raise InvalidEvidence("bad block signature")
         return
@@ -327,7 +382,7 @@ def verify_evidence(evidence: Evidence, cfg: Config, keys: Keyring,
         blk = evidence.block
         if not keys.known(blk.proposer):
             raise InvalidEvidence("unknown proposer")
-        if blk.proposer_signature is None or not crypto.verify(
+        if blk.proposer_signature is None or not keys.check(
                 blk.proposer.pk, blk.core_bytes(), blk.proposer_signature):
             raise InvalidEvidence("bad block signature")
         if replay is None:
@@ -575,7 +630,7 @@ class Node:
         tx = gossip.tx
         if tx.id in self.mempool or tx.id in self.finalized_ids:
             return []
-        if not crypto.verify(tx.sender, tx.signing_bytes(), tx.signature):
+        if not self.keys.check(tx.sender, tx.signing_bytes(), tx.signature):
             return []
         self.mempool[tx.id] = (tx, gossip.eligible_ms)
         return []
@@ -681,7 +736,7 @@ class Node:
             return []
         if vote.voter.index in self.slot.voted_indices:
             return []
-        if not self.keys.known(vote.voter) or not crypto.verify(
+        if not self.keys.known(vote.voter) or not self.keys.check(
                 vote.voter.pk, vote.signing_bytes(), vote.signature):
             return []
         self.slot.voted_indices.add(vote.voter.index)
@@ -699,7 +754,8 @@ class Node:
         if block.parent_hash != self.chain.tip_hash:
             self.pending_finalize[block.parent_hash] = (block, votes)
             return []
-        self.chain = append_block(self.chain, block, votes, self.cfg)
+        self.chain = append_block(self.chain, block, votes, self.cfg,
+                                  store=self.keys)
         self.finalized_slots.add(block.slot)
         self.block_final_ms[block.slot] = now
         for tx in block.txs:

@@ -14,9 +14,12 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from hashlib import blake2b
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .crypto import Signature, VrfOutput, verify
+from .crypto import Signature, VrfOutput
+
+if TYPE_CHECKING:
+    from .consensus import Keyring
 
 GENESIS_HASH = b"\x00" * 32
 
@@ -78,6 +81,12 @@ class Transaction:
     signature: Signature
 
     def signing_bytes(self) -> bytes:
+        return self._signing_bytes
+
+    # cached like Block's core bytes, so every check of this signature
+    # hashes one bytes object
+    @cached_property
+    def _signing_bytes(self) -> bytes:
         return (b"posn-tx" + self.id + self.sender + self.receiver
                 + u64(self.value) + u64(self.fee))
 
@@ -137,11 +146,6 @@ class Block:
             parts.append(b"\x01" + self.vrf_output.value + self.vrf_output.proof)
         return b"".join(parts)
 
-    def to_bytes(self) -> bytes:
-        sig = self.proposer_signature.tag if self.proposer_signature else b"\x00" * 32
-        core = self.core_bytes()
-        return u32(len(core)) + core + sig
-
     def to_json(self) -> dict:
         return {
             "slot": self.slot,
@@ -165,6 +169,10 @@ class Vote:
     signature: Signature
 
     def signing_bytes(self) -> bytes:
+        return self._signing_bytes
+
+    @cached_property
+    def _signing_bytes(self) -> bytes:
         return b"posn-vote" + u64(self.slot) + self.block_hash
 
     def to_json(self) -> dict:
@@ -284,8 +292,11 @@ class Config:
             raise ConfigError("kappa and epsilon_isi must be positive")
         if self.d_embed < 2:
             raise ConfigError("embedding needs >= 2 components")
-        if self.delta_net_ms <= 0:
-            raise ConfigError("delay bound must be positive")
+        if self.delta_net_ms < 1:
+            # delays are drawn in whole ms from [1, delta]
+            raise ConfigError("delay bound must be at least 1 ms")
+        if self.n_clients < 1:
+            raise ConfigError("need at least one client")
         if self.max_block_txs < 0 or self.spike_snapshot_cap < 1:
             raise ConfigError("bad mempool caps")
 
@@ -346,8 +357,9 @@ def select_mempool(mempool: Sequence[Transaction],
 
 
 def append_block(chain: ChainState, block: Block, quorum: Iterable[Vote],
-                 cfg: Config) -> ChainState:
-    """Append a finalized block and apply its reward events.
+                 cfg: Config, *, store: Keyring) -> ChainState:
+    """Append a finalized block and apply its reward events; vote
+    signatures are checked through the run's key store.
 
     Raises QuorumTooSmall / ParentMismatch / InvalidVoteSignature without
     touching the chain.
@@ -360,7 +372,7 @@ def append_block(chain: ChainState, block: Block, quorum: Iterable[Vote],
     for v in votes:
         if v.block_hash != block_hash or v.slot != block.slot:
             raise InvalidVoteSignature("vote targets a different block")
-        if not verify(v.voter.pk, v.signing_bytes(), v.signature):
+        if not store.check(v.voter.pk, v.signing_bytes(), v.signature):
             raise InvalidVoteSignature(f"bad vote signature from {v.voter.index}")
         voters.add(v.voter.index)
     if len(voters) < quorum_threshold(cfg.n_validators):

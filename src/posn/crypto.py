@@ -3,21 +3,24 @@
 Key pairs, signatures and a VRF stand-in are all keyed blake2b digests.
 They give the protocol logic what it actually needs -- determinism,
 public verifiability and uniformity -- without real key material.
-Verification is backed by a process-local pk -> sk registry populated at
-keygen time; nothing outside this module reads the registry, so no
-adversary code path can produce a verifying tag without the secret key.
+`keygen` is a pure derivation. Verification needs the signer's secret,
+so `verify` and `vrf_verify` take the run's key store (a
+`consensus.Keyring`, the one place that holds a run's pk -> sk map) and
+fail for a key the store does not hold: a signature from one run never
+verifies in another, and no adversary code path can produce a verifying
+tag without the secret key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Optional
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .consensus import Keyring
 
 DIGEST_SIZE = 32
-
-# pk -> sk, filled by keygen. Append-only, shared by all runs in a process.
-_REGISTRY: dict[bytes, bytes] = {}
 
 
 @dataclass(frozen=True)
@@ -53,21 +56,15 @@ def keygen(seed: int, index: int) -> KeyPair:
     """
     sk = _h(b"posn-keygen", seed.to_bytes(8, "little", signed=False),
             index.to_bytes(8, "little", signed=True))
-    pk = _h(b"posn-pk", sk)
-    _REGISTRY[pk] = sk
-    return KeyPair(pk=pk, sk=sk)
-
-
-def _secret_for(pk: bytes) -> Optional[bytes]:
-    return _REGISTRY.get(pk)
+    return KeyPair(pk=_h(b"posn-pk", sk), sk=sk)
 
 
 def sign(sk: bytes, msg: bytes) -> Signature:
     return Signature(tag=_h(b"posn-sig", sk, msg))
 
 
-def verify(pk: bytes, msg: bytes, sig: Signature) -> bool:
-    sk = _secret_for(pk)
+def verify(pk: bytes, msg: bytes, sig: Signature, *, store: Keyring) -> bool:
+    sk = store.secret(pk)
     if sk is None:
         return False
     return sig.tag == _h(b"posn-sig", sk, msg)
@@ -79,8 +76,9 @@ def vrf_eval(sk: bytes, data: bytes) -> VrfOutput:
                      proof=_h(b"posn-vrf-proof", sk, data))
 
 
-def vrf_verify(pk: bytes, data: bytes, out: VrfOutput) -> bool:
-    sk = _secret_for(pk)
+def vrf_verify(pk: bytes, data: bytes, out: VrfOutput, *,
+               store: Keyring) -> bool:
+    sk = store.secret(pk)
     if sk is None:
         return False
     return (out.value == _h(b"posn-vrf-value", sk, data)

@@ -14,21 +14,19 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union, get_args
+from typing import Optional, Sequence, Union, get_args
 
 from hashlib import blake2b
 
 from . import baselines, crypto
-from .consensus import (Keyring, Node, Outgoing, Payload, Proposal, TxGossip,
-                        VoteMsg, compute_slot_context)
+from .consensus import (CLIENT_BASE, Keyring, Node, Outgoing, Payload,
+                        Proposal, TxGossip, VoteMsg, compute_slot_context)
 from .core import (Block, Config, ConfigError, Transaction, hash_block, i64,
                    select_mempool, u64)
 from .kernels import Stream, stream_key
 from .metrics import RunLog, conflicting_finalizations
 
 STRATEGIES = ("DelayMax", "Withhold", "Equivocate", "ForgeSpike", "Silent")
-
-CLIENT_BASE = 10_000  # entity ids at/above this are tx submitters
 
 
 @dataclass(frozen=True)
@@ -227,13 +225,13 @@ class Sim:
         self.plan = fault_plan
         self.load = load
         self.protocol = protocol
-        self.keys = Keyring(cfg.master_seed, cfg.n_validators)
-        self.clients = tuple(crypto.keygen(cfg.master_seed, CLIENT_BASE + i)
-                             for i in range(cfg.n_clients))
+        self.keys = Keyring(cfg.master_seed, cfg.n_validators,
+                            n_clients=cfg.n_clients)
         self.slot_ms = cfg.slot_ms(protocol)
         self.n_slots = int(load.duration_ms // self.slot_ms)
 
         self._ctx_memo: dict = {}
+        self._slot = -1  # the slot whose first begin event was dispatched
         scores = None
         if pob_scores is not None:
             scores = {self.keys.validator(i): s for i, s in pob_scores.items()}
@@ -274,8 +272,8 @@ class Sim:
             self._ctx_memo[key] = hit
         return hit
 
-    def _count(self, name: str) -> None:
-        self.counters[name] = self.counters.get(name, 0) + 1
+    def _count(self, name: str, n: int = 1) -> None:
+        self.counters[name] = self.counters.get(name, 0) + n
 
     def _push(self, at: float, kind: str, node: int = -1, slot: int = -1,
               payload: Optional[Payload] = None) -> None:
@@ -288,34 +286,44 @@ class Sim:
 
     # -- sending -----------------------------------------------------------
 
-    def _send(self, frm: int, to: int, send_at: float,
+    def _send(self, frm: int, dests: Sequence[int], send_at: float,
               payload: Payload) -> None:
-        cut = find_partition(self.plan.partitions, send_at, frm, to)
-        if cut is not None:
-            self._held.setdefault(cut, []).append((frm, to, payload))
-            self._count("held_partition")
-            return
-        if to == frm:
-            deliver = send_at  # local copy, no network hop
-        else:
-            edge = self._edges.get((frm, to))
-            if edge is None:
-                edge = self._edges[(frm, to)] = [
-                    edge_stream(self.cfg.master_seed, frm, to), 0]
-            deliver = send_at + sample_delay(send_at, edge[0], self.cfg,
-                                             edge[1])
-            edge[1] += 1
-        self._count(_SENT_NAME[type(payload)])
-        self._push(deliver, "msg", node=to, payload=payload)
+        """Send one payload from `frm` to each of `dests`, in order."""
+        partitions = self.plan.partitions
+        cut_any = any(p.start_ms <= send_at < p.end_ms for p in partitions)
+        heap, edges, cfg, seq = self.heap, self._edges, self.cfg, self._seq
+        sent = held = 0
+        for to in dests:
+            if cut_any:
+                cut = find_partition(partitions, send_at, frm, to)
+                if cut is not None:
+                    self._held.setdefault(cut, []).append((frm, to, payload))
+                    held += 1
+                    continue
+            if to == frm:
+                deliver = send_at  # local copy, no network hop
+            else:
+                edge = edges.get((frm, to))
+                if edge is None:
+                    edge = edges[(frm, to)] = [
+                        edge_stream(cfg.master_seed, frm, to), 0]
+                deliver = send_at + sample_delay(send_at, edge[0], cfg,
+                                                 edge[1])
+                edge[1] += 1
+            heapq.heappush(heap, (deliver, seq, "msg", to, -1, payload))
+            seq += 1
+            sent += 1
+        self._seq = seq
+        if sent:
+            self._count(_SENT_NAME[type(payload)], sent)
+        if held:
+            self._count("held_partition", held)
 
     def _ship(self, frm: int, outgoing: list[Outgoing], now: float) -> None:
+        everyone = range(self.cfg.n_validators)
         for o in outgoing:
-            send_at = max(o.send_at, now)
-            if o.dest is None:
-                for to in range(self.cfg.n_validators):
-                    self._send(frm, to, send_at, o.payload)
-            else:
-                self._send(frm, o.dest, send_at, o.payload)
+            self._send(frm, everyone if o.dest is None else (o.dest,),
+                       max(o.send_at, now), o.payload)
 
     # -- load generation ---------------------------------------------------
 
@@ -336,15 +344,15 @@ class Sim:
             self.tx_records.append({"id": tx.id.hex(), "submit_ms": t,
                                     "finalize_ms": None})
             self._tx_index[tx.id] = len(self.tx_records) - 1
-            client = CLIENT_BASE + counter % len(self.clients)
-            gossip = TxGossip(tx=tx, eligible_ms=eligible)
-            for node in range(self.cfg.n_validators):
-                self._send(client, node, t, gossip)
+            client = CLIENT_BASE + counter % len(self.keys.clients)
+            self._send(client, range(self.cfg.n_validators), t,
+                       TxGossip(tx=tx, eligible_ms=eligible))
             counter += 1
 
     def _make_tx(self, counter: int, txgen: Stream) -> Transaction:
-        sender_kp = self.clients[counter % len(self.clients)]
-        receiver_kp = self.clients[txgen.next_int(0, len(self.clients) - 1)]
+        clients = self.keys.clients
+        sender_kp = clients[counter % len(clients)]
+        receiver_kp = clients[txgen.next_int(0, len(clients) - 1)]
         value = txgen.next_int(self.load.value_min, self.load.value_max)
         fee = txgen.next_int(self.load.fee_min, self.load.fee_max)
         tx_id = blake2b(
@@ -391,7 +399,10 @@ class Sim:
             return
         node = self.nodes[node_i]
         if kind == "begin":
-            self._prune_memo(slot)
+            if slot != self._slot:
+                self._slot = slot
+                self._prune_memo(slot)
+                self.keys.rotate()
             self._ship(node_i, node.begin_slot(slot, now), now)
         elif kind == "end":
             self._ship(node_i, node.end_slot(slot, now), now)
@@ -413,7 +424,7 @@ class Sim:
         """Re-send everything held by partitions that just ended."""
         for cut in [c for c in list(self._held) if c.end_ms <= now]:
             for frm, to, payload in self._held.pop(cut):
-                self._send(frm, to, now, payload)
+                self._send(frm, (to,), now, payload)
 
     def _prune_memo(self, slot: int) -> None:
         if len(self._ctx_memo) > 8 * max(1, self.cfg.n_validators):

@@ -70,7 +70,8 @@ def test_elect_leader_tie_breaks_by_smallest_vrf(keys7):
     values = {i: crypto.vrf_eval(keys7.sk(i), data).value for i in (1, 4, 6)}
     assert result.leader.index == min(values, key=lambda i: (values[i], i))
     assert result.vrf_output.value == values[result.leader.index]
-    assert crypto.vrf_verify(result.leader.pk, data, result.vrf_output)
+    assert crypto.vrf_verify(result.leader.pk, data, result.vrf_output,
+                             store=keys7)
 
 
 def test_elect_leader_tie_depends_on_slot_and_parent(keys7):
@@ -98,19 +99,19 @@ def _slot_pieces(cfg, keys, txs, slot=0, parent=GENESIS_HASH):
     return spike_txs, seed, election
 
 
-def _heavier(txs):
+def _heavier(txs, keys):
     # bulk the load up until somebody fires
     extra = 0
     while True:
         seed = 900 + extra
-        txs = txs + make_txs(seed, 4)
+        txs = txs + make_txs(seed, 4, stores=(keys,))
         yield txs
         extra += 1
 
 
 def _electable(cfg, keys, base_txs, slot=0, parent=GENESIS_HASH):
     txs = list(base_txs)
-    for txs in _heavier(txs):
+    for txs in _heavier(txs, keys):
         spike_txs, seed, election = _slot_pieces(cfg, keys, txs, slot, parent)
         if election is not None:
             return txs, spike_txs, seed, election

@@ -67,15 +67,14 @@ def _uncached_hash(block):
 
 def test_block_hash_cache_matches_a_fresh_block(cfg4, keys4, txs):
     block = _leader_block(keys4, cfg4, txs)
-    before = (repr(block), block.to_json(), block.to_bytes(), hash(block))
+    before = (repr(block), block.to_json(), hash(block))
     cached = hash_block(block)
     assert hash_block(block) is cached
     assert cached == _uncached_hash(block)
     # the cache sits outside the fields: nothing else sees it
     again = _fresh(block)
     assert again == block
-    assert (repr(block), block.to_json(), block.to_bytes(),
-            hash(block)) == before
+    assert (repr(block), block.to_json(), hash(block)) == before
     # a replace()d block hashes afresh; a re-signed one hashes the same
     shorter = replace(block, txs=block.txs[:-1])
     assert hash_block(shorter) == _uncached_hash(shorter) != cached
@@ -112,6 +111,8 @@ def test_default_config_fills_f_max():
     (4, {"encoding": "morse"}),
     (4, {"tau_steps": 0}),
     (4, {"theta": 0.0}),
+    (4, {"n_clients": 0}),               # no one to submit the load
+    (4, {"delta_net_ms": 0.5}),          # delays are whole ms in [1, delta]
 ])
 def test_config_validate_rejects(n, bad):
     with pytest.raises(ConfigError):
@@ -131,7 +132,7 @@ def _finalize_once(cfg, keys, txs, chain):
     votes = [make_vote(keys.validator(i), keys.sk(i), block.slot,
                        hash_block(block))
              for i in range(quorum_threshold(cfg.n_validators))]
-    return append_block(chain, block, votes, cfg), block, votes
+    return append_block(chain, block, votes, cfg, store=keys), block, votes
 
 
 def test_append_block_updates_chain(cfg4, keys4, txs):
@@ -151,7 +152,7 @@ def test_append_block_rejects_wrong_parent(cfg4, keys4, txs):
     votes = [make_vote(keys4.validator(i), keys4.sk(i), 0, hash_block(block))
              for i in range(3)]
     with pytest.raises(ParentMismatch):
-        append_block(chain, block, votes, cfg4)
+        append_block(chain, block, votes, cfg4, store=keys4)
 
 
 def test_append_block_rejects_small_quorum(cfg4, keys4, txs):
@@ -160,7 +161,7 @@ def test_append_block_rejects_small_quorum(cfg4, keys4, txs):
     votes = [make_vote(keys4.validator(i), keys4.sk(i), 0, hash_block(block))
              for i in range(2)]
     with pytest.raises(QuorumTooSmall):
-        append_block(chain, block, votes, cfg4)
+        append_block(chain, block, votes, cfg4, store=keys4)
 
 
 def test_append_block_ignores_duplicate_voters(cfg4, keys4, txs):
@@ -168,7 +169,7 @@ def test_append_block_ignores_duplicate_voters(cfg4, keys4, txs):
     block = _leader_block(keys4, cfg4, txs)
     one = make_vote(keys4.validator(0), keys4.sk(0), 0, hash_block(block))
     with pytest.raises(QuorumTooSmall):
-        append_block(chain, block, [one, one, one], cfg4)
+        append_block(chain, block, [one, one, one], cfg4, store=keys4)
 
 
 def test_append_block_rejects_bad_vote_signature(cfg4, keys4, txs):
@@ -178,7 +179,7 @@ def test_append_block_rejects_bad_vote_signature(cfg4, keys4, txs):
              for i in range(3)]
     votes[1] = replace(votes[1], signature=votes[0].signature)
     with pytest.raises(InvalidVoteSignature):
-        append_block(chain, block, votes, cfg4)
+        append_block(chain, block, votes, cfg4, store=keys4)
 
 
 def test_chain_growth_keeps_integrity(cfg4, keys4):

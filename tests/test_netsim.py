@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import pytest
 
+import posn.crypto as crypto
+from posn.consensus import Keyring
 from posn.core import ConfigError, default_config, dumps_canonical, hash_block
 from posn.metrics import conflicting_finalizations, summarize
 from posn.netsim import (
@@ -244,6 +246,59 @@ def test_equivocating_leaders_conflict_free_across_nodes():
     for seed in (3, 5, 8):
         _, log = _byz_run("Equivocate", n=4, idx=(3,), seed=seed)
         assert conflicting_finalizations(log) == []
+
+
+# --- the run's key store ---------------------------------------------------
+
+def test_a_signature_from_one_run_does_not_verify_in_another():
+    runs = [Sim(default_config(4, master_seed=seed), FaultPlan(), _load())
+            for seed in (1, 2)]
+    for sim, other in (runs, runs[::-1]):
+        for kp in (sim.keys.pairs[0], sim.keys.clients[0]):
+            sig = crypto.sign(kp.sk, b"payload")
+            assert crypto.verify(kp.pk, b"payload", sig, store=sim.keys)
+            assert sim.keys.check(kp.pk, b"payload", sig)
+            assert not crypto.verify(kp.pk, b"payload", sig,
+                                     store=other.keys)
+            assert not other.keys.check(kp.pk, b"payload", sig)
+
+
+def _byzantine_store_run():
+    """A short N=7 run with an equivocator and a spike forger."""
+    cfg = default_config(7, master_seed=2, encoding="both")
+    plan = FaultPlan(byzantine={5: "Equivocate", 6: "ForgeSpike"})
+    log = Sim(cfg, plan, _load(250.0, 6 * cfg.slot_ms())).run()
+    assert log.violations == []
+    assert {p["reason"] for p in log.penalties} == {"equivocation",
+                                                    "forged_spike"}
+
+
+def test_every_check_asks_the_store(monkeypatch, verify_calls):
+    # with nothing pruned, each distinct signature is verified exactly
+    # once, across gossip, proposals, votes, finality and evidence
+    monkeypatch.setattr(Keyring, "rotate", lambda self: None)
+    _byzantine_store_run()
+    assert len(verify_calls) == len(set(verify_calls))
+
+
+def test_pruned_checks_cost_few_reverifications(verify_calls):
+    # once per slot the oldest checks are dropped; a transaction that
+    # waits longer than that in the mempool is verified once more
+    _byzantine_store_run()
+    assert len(verify_calls) <= 1.5 * len(set(verify_calls))
+
+
+def test_checked_signatures_do_not_grow_with_the_run(verify_calls):
+    held, verified = {}, {}
+    for slots in (20, 80):
+        verify_calls.clear()
+        cfg = default_config(4, master_seed=3)
+        sim = Sim(cfg, FaultPlan(), _load(40.0, slots * cfg.slot_ms()))
+        sim.run()
+        held[slots] = len(sim.keys._checked) + len(sim.keys._older)
+        verified[slots] = len(set(verify_calls))
+    assert verified[80] >= 3 * verified[20]
+    assert held[80] <= 1.25 * held[20]
 
 
 # --- partitions, crashes, clients -------------------------------------------

@@ -62,6 +62,20 @@ def test_seed_zero_pass_reproduces_recorded_digests(name, tmp_path):
     assert all(row["violations"] == [] for row in result["inputs"])
 
 
+def test_traced_pass_is_exact_and_checks_each_signature_once(tmp_path):
+    # a call the tracer cannot see (a captured original, a keyword-called
+    # verify) or repeated signature checks fail here, not only in a
+    # benchmark run
+    with open(os.path.join(PERFBENCH, "digests.json")) as fh:
+        expected = json.load(fh)["saturated-n32"]["0"]
+    result = worker.run_pass("saturated-n32", 0, str(tmp_path),
+                             tracer=spans.Tracer())
+    assert result["unwrapped"] == []
+    assert [row["digest"] for row in result["inputs"]] == expected
+    calls = result["spans"]["crypto.verify"][0]
+    assert calls <= 1.5 * result["distinct"]["crypto.verify"]
+
+
 def _reject_constant(token):
     raise ValueError(f"non-JSON number {token}")
 
