@@ -2,20 +2,21 @@
 
 PoR picks the validator with the smallest VRF value over the slot beacon
 data; PoB samples proportionally to externally supplied contribution
-scores. Everything else (snapshotting, proposing, voting, quorum
-finality, rewards) is shared with the main protocol, so performance
-differences come from election latency overheads alone, which is the
-point of the comparison. These are minimal readings of the source
-protocols, not reconstructions; orderings measured against them are
-configuration-dependent by nature.
+scores. `make_elector` turns either into the slot context that the node
+pipeline reads. Everything else (snapshotting, proposing, proposal
+validation, voting, quorum finality, rewards, evidence and penalties) is
+shared with the main protocol, so performance differences come from
+election latency overheads alone, which is the point of the comparison.
+These are minimal readings of the source protocols, not reconstructions;
+orderings measured against them are configuration-dependent by nature.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from . import crypto
-from .consensus import ElectionResult, Keyring
+from .consensus import ElectionResult, Keyring, ReplayFn, SlotContext
 from .core import Config, PosnError, ValidatorId, u64
 from .kernels import Stream, stream_key
 
@@ -68,24 +69,20 @@ def uniform_scores(validators: tuple[ValidatorId, ...]) -> ContributionScore:
 
 
 def make_elector(protocol: str, cfg: Config, keys: Keyring,
-                 scores: Optional[ContributionScore] = None
-                 ) -> Callable[[int, bytes], ElectionResult]:
-    """Baseline election hook for the node state machine: returns a
-    degenerate ElectionResult (fire step 0, no tie) naming the leader."""
-    if protocol == "por":
-        def elect(slot: int, parent_hash: bytes) -> ElectionResult:
-            leader = por_elect(slot, parent_hash, keys.validators, keys)
-            return ElectionResult(leader=leader, fire_step=0,
-                                  tie_set=frozenset((leader,)),
-                                  vrf_used=False)
-        return elect
-    if protocol == "pob":
-        table = scores if scores is not None else uniform_scores(keys.validators)
+                 scores: Optional[ContributionScore] = None) -> ReplayFn:
+    """The baseline's slot context for the shared node pipeline: no neuron
+    is replayed (fire_steps is None), and the election is a degenerate
+    ElectionResult (fire step 0, no tie) naming the leader. The spike set
+    is ignored; it is always empty under a baseline."""
+    if protocol not in ("por", "pob"):
+        raise ValueError(f"no baseline elector for protocol {protocol!r}")
+    table = scores if scores is not None else uniform_scores(keys.validators)
 
-        def elect(slot: int, parent_hash: bytes) -> ElectionResult:
-            leader = pob_elect(slot, table, cfg.master_seed)
-            return ElectionResult(leader=leader, fire_step=0,
-                                  tie_set=frozenset((leader,)),
-                                  vrf_used=False)
-        return elect
-    raise ValueError(f"no baseline elector for protocol {protocol!r}")
+    def replay(slot: int, parent_hash: bytes, spike_txs) -> SlotContext:
+        leader = (por_elect(slot, parent_hash, keys.validators, keys)
+                  if protocol == "por"
+                  else pob_elect(slot, table, cfg.master_seed))
+        return SlotContext(fire_steps=None, election=ElectionResult(
+            leader=leader, fire_step=0, tie_set=frozenset((leader,)),
+            vrf_used=False))
+    return replay

@@ -6,7 +6,9 @@ The leader proposes a block; peers accept only what they can reproduce
 bit-for-bit (spike replay, election, mempool ordering), vote once, and
 finalize on a strict two-thirds quorum. Rewards, penalties for provable
 misbehavior, and the per-node slot state machine live here too. The PoB
-and PoR baselines swap only the election step and reuse the rest.
+and PoR baselines swap only the election step: each supplies its slot
+context as a `ReplayFn`, and proposal validation, evidence checks and
+penalties are the same code for all three protocols.
 """
 
 from __future__ import annotations
@@ -129,9 +131,6 @@ class Keyring:
         self._checked: set[tuple] = set()
         self._older: set[tuple] = set()
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
     def add(self, kp: crypto.KeyPair) -> None:
         """Hold one more key pair, so signatures under it verify."""
         self._secrets[kp.pk] = kp.sk
@@ -248,10 +247,11 @@ def compute_fire_steps(validators: Sequence[ValidatorId],
 
 
 # context computed once per (slot, parent, spike set); the harness passes
-# a memoized lookup since every honest node derives identical values
+# a memoized lookup since every honest node derives identical values.
+# fire_steps is None when the election replays no neurons (the baselines)
 @dataclass(frozen=True)
 class SlotContext:
-    fire_steps: dict[ValidatorId, Optional[int]]
+    fire_steps: Optional[dict[ValidatorId, Optional[int]]]
     election: Optional[ElectionResult]
 
 
@@ -269,11 +269,12 @@ def compute_slot_context(slot: int, parent_hash: bytes,
 
 def _refuted_by_replay(block: Block, ctx: SlotContext) -> Optional[str]:
     """Why the slot's replay refutes the block's claim, or None: the
-    proposer's neuron did not fire at the claimed step, or it did not
-    win the election. The proposer must be a known validator."""
-    replayed = ctx.fire_steps[block.proposer]
-    if replayed is None or replayed != block.claimed_fire_step:
-        return "SpikeMismatch"
+    proposer's neuron (if replayed) did not fire at the claimed step, or
+    it did not win the election. The proposer must be a known validator."""
+    if ctx.fire_steps is not None:
+        replayed = ctx.fire_steps[block.proposer]
+        if replayed is None or replayed != block.claimed_fire_step:
+            return "SpikeMismatch"
     if ctx.election is None or ctx.election.leader != block.proposer:
         return "NotElected"
     return None
@@ -521,16 +522,12 @@ class Node:
     are delivered back to the sender too, so a leader processes its own
     proposal through the same path as everyone else. Byzantine behavior
     is layered on top by the harness; this class is always the honest
-    protocol.
+    protocol. `replay` gives the protocol's slot context (its election);
+    `protocol` picks only the spike set and the proposal's send time.
     """
 
     def __init__(self, index: int, keys: Keyring, cfg: Config,
-                 protocol: str = "posn",
-                 replay: Optional[ReplayFn] = None,
-                 elect_baseline: Optional[Callable[[int, bytes],
-                                                   ElectionResult]] = None):
-        if protocol != "posn" and elect_baseline is None:
-            raise ValueError(f"protocol {protocol!r} needs elect_baseline")
+                 protocol: str, replay: ReplayFn):
         self.index = index
         self.keys = keys
         self.cfg = cfg
@@ -549,13 +546,10 @@ class Node:
         # is honored only when it matches this local view
         self.slot_history: dict[int, tuple[bytes, tuple[Transaction, ...]]] = {}
         self.evidence_seen: set[tuple[str, int, int]] = set()
-        self.penalty_events: list[RewardEvent] = []
         self.finalize_seen: set[tuple[int, bytes]] = set()
         self.pending_finalize: dict[bytes, tuple[Block, tuple[Vote, ...]]] = {}
         self.block_final_ms: dict[int, float] = {}
-        self._replay = replay or (lambda s, p, txs: compute_slot_context(
-            s, p, txs, self.cfg, self.keys))
-        self._elect_baseline = elect_baseline
+        self._replay = replay
 
     # -- slot lifecycle ----------------------------------------------------
 
@@ -567,12 +561,8 @@ class Node:
         if self.protocol == "posn":
             self.slot.spike_txs = select_mempool(snapshot,
                                                  self.cfg.spike_snapshot_cap)
-            self.slot.ctx = self._replay(slot, self.chain.tip_hash,
-                                         self.slot.spike_txs)
-        else:
-            self.slot.ctx = SlotContext(
-                fire_steps={},
-                election=self._elect_baseline(slot, self.chain.tip_hash))
+        self.slot.ctx = self._replay(slot, self.chain.tip_hash,
+                                     self.slot.spike_txs)
         self.slot_history[slot] = (self.chain.tip_hash, self.slot.spike_txs)
         for old in [s for s in self.slot_history if s < slot - 3]:
             del self.slot_history[old]
@@ -656,7 +646,9 @@ class Node:
             out.append(Outgoing(send_at=now, payload=Proposal(block)))
 
         if block_hash not in self.slot.validated:
-            verdict = self._validate(block)
+            verdict = validate_proposal(
+                block, self.slot.slot, self.chain.tip_hash, self.slot.snapshot,
+                self.cfg, self.keys, ctx=self.slot.ctx)
             self.slot.validated[block_hash] = verdict
             self.proposal_log.append({
                 "slot": block.slot, "proposer": block.proposer.index,
@@ -678,26 +670,6 @@ class Node:
                     and len(bucket) >= quorum_threshold(self.cfg.n_validators):
                 out.extend(self._append(now, block, tuple(bucket)))
         return out
-
-    def _validate(self, block: Block) -> Verdict:
-        ctx = self.slot.ctx
-        if self.protocol == "posn":
-            return validate_proposal(
-                block, self.slot.slot, self.chain.tip_hash, self.slot.snapshot,
-                self.cfg, self.keys, ctx=ctx)
-        bad = check_signatures(block, self.keys)
-        if bad is not None:
-            return Verdict.reject(bad)
-        if block.slot != self.slot.slot:
-            return Verdict.reject("WrongSlot")
-        if block.parent_hash != self.chain.tip_hash:
-            return Verdict.reject("ParentMismatch")
-        if ctx.election is None or ctx.election.leader != block.proposer:
-            return Verdict.reject("NotElected")
-        if block.txs != select_mempool(self.slot.snapshot,
-                                       self.cfg.max_block_txs):
-            return Verdict.reject("MempoolMismatch")
-        return Verdict.ok()
 
     def _matches_local_view(self, evidence: Evidence) -> bool:
         if isinstance(evidence, Equivocation):
@@ -724,11 +696,10 @@ class Node:
             return False
         self.evidence_seen.add(key)
         try:
-            self.chain, events = apply_penalty(self.chain, evidence, self.cfg,
-                                               self.keys, replay=self._replay)
+            self.chain, _ = apply_penalty(self.chain, evidence, self.cfg,
+                                          self.keys, replay=self._replay)
         except InvalidEvidence:
             return False
-        self.penalty_events.extend(events)
         return True
 
     def _on_vote(self, now: float, vote: Vote) -> list[Outgoing]:

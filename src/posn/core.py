@@ -1,10 +1,11 @@
 """Domain types shared by every module: transactions, blocks, votes, the
 finalized chain with its reward ledger, and run configuration.
 
-Canonical serialization is length/width-fixed little-endian binary (used
-for hashing and signing); a JSON mirror with hex-encoded byte fields is
-used for logs and scenario outputs. All value types are frozen; chain
-updates are copy-on-write so values are safely shareable across threads.
+Canonical serialization is length/width-fixed little-endian binary, used
+for hashing and signing. Runs are exported as canonical JSON
+(`dumps_canonical`), where blocks and transactions appear only as hex
+hashes and ids. All value types are frozen; chain updates are
+copy-on-write so values are safely shareable across threads.
 """
 
 from __future__ import annotations
@@ -94,16 +95,6 @@ class Transaction:
         return (self.id + self.sender + self.receiver + u64(self.value)
                 + u64(self.fee) + self.signature.tag)
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.id.hex(),
-            "sender": self.sender.hex(),
-            "receiver": self.receiver.hex(),
-            "value": self.value,
-            "fee": self.fee,
-            "signature": self.signature.tag.hex(),
-        }
-
 
 @dataclass(frozen=True)
 class ValidatorId:
@@ -146,20 +137,6 @@ class Block:
             parts.append(b"\x01" + self.vrf_output.value + self.vrf_output.proof)
         return b"".join(parts)
 
-    def to_json(self) -> dict:
-        return {
-            "slot": self.slot,
-            "proposer": self.proposer.index,
-            "proposer_pk": self.proposer.pk.hex(),
-            "parent_hash": self.parent_hash.hex(),
-            "txs": [tx.to_json() for tx in self.txs],
-            "claimed_fire_step": self.claimed_fire_step,
-            "vrf_value": self.vrf_output.value.hex() if self.vrf_output else None,
-            "vrf_proof": self.vrf_output.proof.hex() if self.vrf_output else None,
-            "proposer_signature": (self.proposer_signature.tag.hex()
-                                   if self.proposer_signature else None),
-        }
-
 
 @dataclass(frozen=True)
 class Vote:
@@ -174,10 +151,6 @@ class Vote:
     @cached_property
     def _signing_bytes(self) -> bytes:
         return b"posn-vote" + u64(self.slot) + self.block_hash
-
-    def to_json(self) -> dict:
-        return {"slot": self.slot, "block_hash": self.block_hash.hex(),
-                "voter": self.voter.index, "signature": self.signature.tag.hex()}
 
 
 @dataclass(frozen=True)
@@ -205,9 +178,6 @@ class ChainState:
     @property
     def tip_hash(self) -> bytes:
         return hash_block(self.finalized[-1]) if self.finalized else GENESIS_HASH
-
-    def balance(self, validator: int) -> int:
-        return self.balances.get(validator, 0)
 
     def check_integrity(self) -> list[str]:
         """Full rescan: hash-chain links, slot monotonicity, conservation."""

@@ -52,6 +52,9 @@ class FaultPlan:
                 raise ConfigError(f"byzantine index {idx} out of range")
             if strategy not in STRATEGIES:
                 raise ConfigError(f"unknown strategy {strategy!r}")
+        for idx in self.crash_ms:
+            if not 0 <= idx < cfg.n_validators:
+                raise ConfigError(f"crash index {idx} out of range")
         for p in self.partitions:
             if p.end_ms <= p.start_ms:
                 raise ConfigError("empty partition window")
@@ -234,14 +237,23 @@ class Sim:
         self._slot = -1  # the slot whose first begin event was dispatched
         scores = None
         if pob_scores is not None:
+            for i in pob_scores:
+                if not 0 <= i < cfg.n_validators:
+                    raise ConfigError(f"pob_scores index {i} out of range")
             scores = {self.keys.validator(i): s for i, s in pob_scores.items()}
-        elector = (None if protocol == "posn"
-                   else baselines.make_elector(protocol, cfg, self.keys,
-                                               scores=scores))
+        # the protocol's slot context, memoized by _memo_replay; posn's
+        # reads the global compute_slot_context per call: tracers rebind it
+        if protocol == "posn":
+            self._context = lambda slot, parent_hash, spike_txs: \
+                compute_slot_context(slot, parent_hash, spike_txs, cfg,
+                                     self.keys)
+        else:
+            self._context = baselines.make_elector(protocol, cfg, self.keys,
+                                                   scores=scores)
         self.nodes: list[AnyNode] = []
         for i in range(cfg.n_validators):
             node = Node(i, self.keys, cfg, protocol=protocol,
-                        replay=self._memo_replay, elect_baseline=elector)
+                        replay=self._memo_replay)
             strategy = fault_plan.byzantine.get(i)
             self.nodes.append(ByzantineShell(node, strategy)
                               if strategy else node)
@@ -267,9 +279,8 @@ class Sim:
         key = (slot, parent_hash, spike_txs)
         hit = self._ctx_memo.get(key)
         if hit is None:
-            hit = compute_slot_context(slot, parent_hash, spike_txs,
-                                       self.cfg, self.keys)
-            self._ctx_memo[key] = hit
+            hit = self._ctx_memo[key] = self._context(slot, parent_hash,
+                                                      spike_txs)
         return hit
 
     def _count(self, name: str, n: int = 1) -> None:

@@ -1,4 +1,5 @@
 import collections
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,8 @@ from posn.baselines import (
     por_elect,
     uniform_scores,
 )
-from posn.consensus import Keyring
+from posn.consensus import (ForgedSpike, InvalidEvidence, Keyring, propose,
+                            validate_proposal, verify_evidence)
 from posn.core import GENESIS_HASH, default_config
 from posn.metrics import leader_entropy
 
@@ -93,8 +95,10 @@ def test_uniform_scores(keys8):
 
 def test_make_elector_por(keys8):
     cfg = default_config(8, master_seed=77)
-    elect = make_elector("por", cfg, keys8)
-    result = elect(4, GENESIS_HASH)
+    replay = make_elector("por", cfg, keys8)
+    ctx = replay(4, GENESIS_HASH, ())
+    result = ctx.election
+    assert ctx.fire_steps is None  # no neuron is replayed
     assert result.leader == por_elect(4, GENESIS_HASH, keys8.validators, keys8)
     assert result.fire_step == 0
     assert not result.vrf_used
@@ -103,8 +107,32 @@ def test_make_elector_por(keys8):
 def test_make_elector_pob_uses_scores(keys8):
     cfg = default_config(8, master_seed=77)
     vs = keys8.validators
-    elect = make_elector("pob", cfg, keys8, scores={vs[5]: 1.0})
-    assert elect(0, GENESIS_HASH).leader == vs[5]
+    replay = make_elector("pob", cfg, keys8, scores={vs[5]: 1.0})
+    assert replay(0, GENESIS_HASH, ()).election.leader == vs[5]
+
+
+def test_baseline_context_judges_proposals_and_evidence(keys8):
+    # the baseline context plugs into the one validator and the one
+    # evidence check: its leader is judged by the election alone, with
+    # no neuron replay, and proving it "forged" takes another leader
+    cfg = default_config(8, master_seed=77)
+    replay = make_elector("por", cfg, keys8)
+    ctx = replay(4, GENESIS_HASH, ())
+    leader = ctx.election.leader
+    other = keys8.validator((leader.index + 1) % 8)
+    blocks = {vid: propose(vid, keys8.sk(vid.index), 4, GENESIS_HASH, (),
+                           replace(ctx.election, leader=vid), cfg)
+              for vid in (leader, other)}
+    assert validate_proposal(blocks[leader], 4, GENESIS_HASH, (), cfg, keys8,
+                             ctx=ctx).accepted
+    verdict = validate_proposal(blocks[other], 4, GENESIS_HASH, (), cfg,
+                                keys8, ctx=ctx)
+    assert verdict.reason == "NotElected"
+    with pytest.raises(InvalidEvidence):
+        verify_evidence(ForgedSpike(blocks[leader], (), GENESIS_HASH), cfg,
+                        keys8, replay=replay)
+    verify_evidence(ForgedSpike(blocks[other], (), GENESIS_HASH), cfg, keys8,
+                    replay=replay)
 
 
 def test_make_elector_unknown_protocol(keys8):

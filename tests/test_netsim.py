@@ -25,6 +25,14 @@ def _load(rate=40.0, ms=5000.0):
     return LoadProfile(arrival_rate=rate, duration_ms=ms)
 
 
+def _counting(calls, name, fn):
+    """fn, counting its calls in calls[name]."""
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
 # --- delays and partitions --------------------------------------------------
 
 def test_sample_delay_bounds_post_gst(cfg4):
@@ -89,6 +97,20 @@ def test_fault_plan_rejects_unknown_strategy(cfg4):
 def test_fault_plan_rejects_bad_index(cfg4):
     with pytest.raises(ConfigError):
         FaultPlan(byzantine={9: "Silent"}).validate(cfg4)
+
+
+def test_fault_plan_rejects_bad_crash_index(cfg4):
+    for idx in (4, -1):
+        with pytest.raises(ConfigError, match=f"crash index {idx}"):
+            FaultPlan(crash_ms={idx: 100.0}).validate(cfg4)
+
+
+@pytest.mark.parametrize("protocol", ["posn", "pob", "por"])
+def test_sim_rejects_pob_scores_for_unknown_validators(cfg4, protocol):
+    for idx in (4, -1):
+        with pytest.raises(ConfigError, match=f"pob_scores index {idx}"):
+            Sim(cfg4, FaultPlan(), _load(), protocol,
+                pob_scores={0: 1.0, idx: 2.0})
 
 
 def test_fault_plan_rejects_empty_window(cfg4):
@@ -217,20 +239,14 @@ def test_evidence_costs_no_replay(monkeypatch):
     import posn.netsim as netsim
 
     calls = collections.Counter()
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(consensus, "first_spike_step", counting(
-        "first_spike_step", consensus.first_spike_step))
-    ctx = counting("compute_slot_context", consensus.compute_slot_context)
+    monkeypatch.setattr(consensus, "first_spike_step", _counting(
+        calls, "first_spike_step", consensus.first_spike_step))
+    ctx = _counting(calls, "compute_slot_context",
+                    consensus.compute_slot_context)
     monkeypatch.setattr(consensus, "compute_slot_context", ctx)
     monkeypatch.setattr(netsim, "compute_slot_context", ctx)
-    monkeypatch.setattr(consensus, "apply_penalty", counting(
-        "apply_penalty", consensus.apply_penalty))
+    monkeypatch.setattr(consensus, "apply_penalty", _counting(
+        calls, "apply_penalty", consensus.apply_penalty))
     cfg = default_config(7, master_seed=2, encoding="both")
     plan = FaultPlan(byzantine={5: "Equivocate", 6: "ForgeSpike"})
     log = Sim(cfg, plan, _load(250.0, 6 * cfg.slot_ms())).run()
@@ -375,3 +391,41 @@ def test_pob_scores_shift_leadership():
               pob_scores={0: 10.0, 1: 0.1, 2: 0.1, 3: 0.1})
     counts = summarize(log).leader_counts
     assert counts.get(0, 0) > sum(counts.get(i, 0) for i in (1, 2, 3))
+
+
+def test_honest_baseline_partition_penalizes_nobody():
+    # after a partition heals, a node whose tip catches up mid-slot
+    # rejects the new leader's block as not elected from its stale slot
+    # context; the forged-spike evidence it sends is checked against the
+    # baseline election that ran, which the honest proposer won
+    penalized = {}
+    for seed in range(6):
+        cfg = default_config(7, master_seed=seed)
+        slot = cfg.slot_ms("por")
+        plan = FaultPlan(partitions=(
+            Partition(3 * slot, 6 * slot, frozenset({0, 1})),))
+        log = run(cfg, plan, _load(0.5, 12 * slot), protocol="por")
+        assert log.violations == []
+        penalized[seed] = log.penalties
+    assert penalized == {seed: [] for seed in range(6)}
+
+
+def test_baselines_share_the_proposal_validator(monkeypatch):
+    # one por_elect per slot (the memoized slot context), and every
+    # distinct proposal each node sees is judged by validate_proposal
+    import posn.baselines as baselines
+    import posn.consensus as consensus
+
+    calls = collections.Counter()
+    monkeypatch.setattr(baselines, "por_elect", _counting(
+        calls, "por_elect", baselines.por_elect))
+    monkeypatch.setattr(consensus, "validate_proposal", _counting(
+        calls, "validate_proposal", consensus.validate_proposal))
+    cfg = default_config(4, master_seed=8)
+    sim = Sim(cfg, FaultPlan(), _load(40.0, 6 * cfg.slot_ms("por")), "por")
+    log = sim.run()
+    assert log.violations == []
+    judged = sum(len(node.proposal_log) for node in sim.nodes)
+    assert judged >= 4 * sim.n_slots
+    assert calls["validate_proposal"] == judged
+    assert calls["por_elect"] == sim.n_slots

@@ -76,6 +76,21 @@ def test_traced_pass_is_exact_and_checks_each_signature_once(tmp_path):
     assert calls <= 1.5 * result["distinct"]["crypto.verify"]
 
 
+def test_traced_baseline_pass_is_exact_and_elects_once_per_slot(tmp_path):
+    # the baseline election is memoized per slot like posn's replay, and
+    # every proposal goes through the one validator; a captured
+    # por_elect or compute_slot_context fails here too
+    with open(os.path.join(PERFBENCH, "digests.json")) as fh:
+        expected = json.load(fh)["por-saturated-n8"]["0"]
+    result = worker.run_pass("por-saturated-n8", 0, str(tmp_path),
+                             tracer=spans.Tracer())
+    assert result["unwrapped"] == []
+    assert [row["digest"] for row in result["inputs"]] == expected
+    slots = sum(row["slots"] for row in result["inputs"])
+    assert result["spans"]["baselines.por_elect"][0] == slots
+    assert result["spans"]["consensus.validate_proposal"][0] > 0
+
+
 def _reject_constant(token):
     raise ValueError(f"non-JSON number {token}")
 
