@@ -13,6 +13,7 @@ penalties are the same code for all three protocols.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -110,7 +111,7 @@ class Keyring:
     `crypto.verify` reads, so keys never leak from one run into another.
 
     `check` and `check_vrf` verify an input once and trust it after that,
-    as a node trusts what it admitted to its mempool. Only inputs that
+    as a node trusts a block it already validated. Only inputs that
     verified are remembered, so a forgery is checked every time. They are
     kept in two generations, and `rotate` drops the older one; the harness
     rotates once per slot, so the set is bounded by slots, not by the run
@@ -447,14 +448,6 @@ def apply_penalty(chain: ChainState, evidence: Evidence, cfg: Config,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TxGossip:
-    tx: Transaction
-    # injection time plus the worst-case delivery delay; nodes admit a tx
-    # into a slot snapshot only once every peer is guaranteed to have it
-    eligible_ms: float
-
-
-@dataclass(frozen=True)
 class Proposal:
     block: Block
 
@@ -477,7 +470,7 @@ class FinalizeMsg:
     votes: tuple[Vote, ...]
 
 
-Payload = Union[TxGossip, Proposal, VoteMsg, EvidenceMsg, FinalizeMsg]
+Payload = Union[Proposal, VoteMsg, EvidenceMsg, FinalizeMsg]
 
 BROADCAST = None
 
@@ -523,11 +516,13 @@ class Node:
     proposal through the same path as everyone else. Byzantine behavior
     is layered on top by the harness; this class is always the honest
     protocol. `replay` gives the protocol's slot context (its election);
-    `protocol` picks only the spike set and the proposal's send time.
+    `protocol` picks only the spike set and the proposal's send time;
+    `schedule` is the run's load as sorted (eligible_ms, counter, tx).
     """
 
     def __init__(self, index: int, keys: Keyring, cfg: Config,
-                 protocol: str, replay: ReplayFn):
+                 protocol: str, replay: ReplayFn,
+                 schedule: Sequence[tuple[float, int, Transaction]]):
         self.index = index
         self.keys = keys
         self.cfg = cfg
@@ -535,8 +530,9 @@ class Node:
         self.me = keys.validator(index)
         self.sk = keys.sk(index)
         self.chain = ChainState()
-        self.mempool: dict[bytes, tuple[Transaction, float]] = {}
-        self.finalized_ids: set[bytes] = set()
+        self.mempool: dict[bytes, Transaction] = {}
+        self._schedule = schedule
+        self._admitted = 0  # schedule entries already in the mempool
         self.finalized_slots: set[int] = set()
         self.slot = _SlotState()
         self.slot_records: list[dict] = []
@@ -555,11 +551,16 @@ class Node:
 
     def begin_slot(self, slot: int, now: float) -> list[Outgoing]:
         self.slot = _SlotState(slot=slot, started_ms=now)
-        snapshot = [tx for tx, eligible in self.mempool.values()
-                    if eligible <= now and tx.id not in self.finalized_ids]
-        self.slot.snapshot = tuple(snapshot)
+        # a tx is admitted at the first slot start where it is eligible, and
+        # a finalized block holds only txs eligible at its slot start, so no
+        # tx is admitted after this node finalized it
+        end = bisect_right(self._schedule, now, key=lambda entry: entry[0])
+        for _, _, tx in self._schedule[self._admitted:end]:
+            self.mempool[tx.id] = tx
+        self._admitted = end
+        self.slot.snapshot = tuple(self.mempool.values())
         if self.protocol == "posn":
-            self.slot.spike_txs = select_mempool(snapshot,
+            self.slot.spike_txs = select_mempool(self.slot.snapshot,
                                                  self.cfg.spike_snapshot_cap)
         self.slot.ctx = self._replay(slot, self.chain.tip_hash,
                                      self.slot.spike_txs)
@@ -604,8 +605,6 @@ class Node:
     # -- message handling --------------------------------------------------
 
     def on_message(self, now: float, payload: Payload) -> list[Outgoing]:
-        if isinstance(payload, TxGossip):
-            return self._on_tx(payload)
         if isinstance(payload, Proposal):
             return self._on_proposal(now, payload.block)
         if isinstance(payload, VoteMsg):
@@ -614,15 +613,6 @@ class Node:
             return self._on_finalize(now, payload)
         if isinstance(payload, EvidenceMsg):
             return self._on_evidence(payload.evidence)
-        return []
-
-    def _on_tx(self, gossip: TxGossip) -> list[Outgoing]:
-        tx = gossip.tx
-        if tx.id in self.mempool or tx.id in self.finalized_ids:
-            return []
-        if not self.keys.check(tx.sender, tx.signing_bytes(), tx.signature):
-            return []
-        self.mempool[tx.id] = (tx, gossip.eligible_ms)
         return []
 
     def _on_proposal(self, now: float, block: Block) -> list[Outgoing]:
@@ -730,7 +720,6 @@ class Node:
         self.finalized_slots.add(block.slot)
         self.block_final_ms[block.slot] = now
         for tx in block.txs:
-            self.finalized_ids.add(tx.id)
             self.mempool.pop(tx.id, None)
         out: list[Outgoing] = []
         if block.slot == self.slot.slot:

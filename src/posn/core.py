@@ -239,6 +239,11 @@ class Config:
     master_seed: int = 0
 
     def validate(self) -> None:
+        for name in ("n_validators", "f_max", "tau_steps", "max_block_txs",
+                     "spike_snapshot_cap", "n_clients"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_validators < 1:
             raise ConfigError("need at least one validator")
         if self.f_max < 0:
@@ -265,6 +270,8 @@ class Config:
         if self.delta_net_ms < 1:
             # delays are drawn in whole ms from [1, delta]
             raise ConfigError("delay bound must be at least 1 ms")
+        if self.gst_ms < 0:
+            raise ConfigError("gst_ms must be non-negative")
         if self.n_clients < 1:
             raise ConfigError("need at least one client")
         if self.max_block_txs < 0 or self.spike_snapshot_cap < 1:
@@ -320,7 +327,9 @@ def select_mempool(mempool: Sequence[Transaction],
                    max_block_txs: int) -> tuple[Transaction, ...]:
     """Deterministic selection: fee descending, id ascending, first `max`.
 
-    Pure function of its inputs; callers admit only signature-checked txs.
+    Pure function of its inputs; it checks no signatures. Nodes admit
+    txs from the harness's load schedule, which signs each one, and
+    `consensus.check_signatures` checks every tx of a received block.
     """
     ordered = sorted(mempool, key=lambda tx: (-tx.fee, tx.id))
     return tuple(ordered[:max_block_txs])

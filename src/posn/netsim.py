@@ -6,7 +6,10 @@ every run is a pure function of (Config, FaultPlan, LoadProfile,
 protocol). Models: partially synchronous delays (bounded by delta after
 GST, 10x that before), partitions that hold cross-cut traffic until
 heal, node crashes, and the five Byzantine strategies as outbound
-filters wrapped around otherwise honest nodes.
+filters wrapped around otherwise honest nodes. Client transactions are
+not messages: the load is one schedule of signed txs, each eligible
+once every validator would hold it, and every node admits from it at
+each slot start.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from hashlib import blake2b
 
 from . import baselines, crypto
 from .consensus import (CLIENT_BASE, Keyring, Node, Outgoing, Payload,
-                        Proposal, TxGossip, VoteMsg, compute_slot_context)
+                        Proposal, VoteMsg, compute_slot_context)
 from .core import (Block, Config, ConfigError, Transaction, hash_block, i64,
                    select_mempool, u64)
 from .kernels import Stream, stream_key
@@ -100,10 +103,7 @@ _SENT_NAME = {cls: f"sent_{cls.__name__}" for cls in get_args(Payload)}
 
 def find_partition(partitions: tuple[Partition, ...], now_ms: float,
                    frm: int, to: int) -> Optional[Partition]:
-    """The active partition separating frm and to at now_ms, if any.
-    Clients are reachable from both sides."""
-    if frm >= CLIENT_BASE or to >= CLIENT_BASE:
-        return None
+    """The active partition separating frm and to at now_ms, if any."""
     for p in partitions:
         if p.start_ms <= now_ms < p.end_ms:
             if (frm in p.side_a) != (to in p.side_a):
@@ -232,6 +232,9 @@ class Sim:
                             n_clients=cfg.n_clients)
         self.slot_ms = cfg.slot_ms(protocol)
         self.n_slots = int(load.duration_ms // self.slot_ms)
+        if self.n_slots < 1:
+            raise ConfigError(f"duration_ms {load.duration_ms} is shorter "
+                              f"than one {protocol} slot ({self.slot_ms} ms)")
 
         self._ctx_memo: dict = {}
         self._slot = -1  # the slot whose first begin event was dispatched
@@ -250,10 +253,11 @@ class Sim:
         else:
             self._context = baselines.make_elector(protocol, cfg, self.keys,
                                                    scores=scores)
+        self.schedule: list[tuple[float, int, Transaction]] = []
         self.nodes: list[AnyNode] = []
         for i in range(cfg.n_validators):
             node = Node(i, self.keys, cfg, protocol=protocol,
-                        replay=self._memo_replay)
+                        replay=self._memo_replay, schedule=self.schedule)
             strategy = fault_plan.byzantine.get(i)
             self.nodes.append(ByzantineShell(node, strategy)
                               if strategy else node)
@@ -338,7 +342,9 @@ class Sim:
 
     # -- load generation ---------------------------------------------------
 
-    def _inject_load(self) -> None:
+    def _schedule_load(self) -> None:
+        """Fill `schedule`, sorted, as eligibility before GST is not monotone
+        in arrival time. The counters still see each tx's N copies."""
         if self.load.arrival_rate <= 0:
             return
         rate_per_ms = self.load.arrival_rate / 1000.0
@@ -355,10 +361,17 @@ class Sim:
             self.tx_records.append({"id": tx.id.hex(), "submit_ms": t,
                                     "finalize_ms": None})
             self._tx_index[tx.id] = len(self.tx_records) - 1
-            client = CLIENT_BASE + counter % len(self.keys.clients)
-            self._send(client, range(self.cfg.n_validators), t,
-                       TxGossip(tx=tx, eligible_ms=eligible))
+            self.schedule.append((eligible, counter, tx))
+            # the exports' name for the N copies a client would send
+            self._count("sent_TxGossip", self.cfg.n_validators)
+            seq, i = divmod(counter, len(self.keys.clients))
+            for v, crash_at in self.plan.crash_ms.items():
+                edge = edge_stream(self.cfg.master_seed, CLIENT_BASE + i, v)
+                delay = sample_delay(t, edge, self.cfg, seq)
+                if crash_at <= t + delay <= self.load.duration_ms:
+                    self._count("dropped_crashed")
             counter += 1
+        self.schedule.sort()
 
     def _make_tx(self, counter: int, txgen: Stream) -> Transaction:
         clients = self.keys.clients
@@ -390,7 +403,7 @@ class Sim:
             self._push(final, "end", node=i, slot=self.n_slots - 1)
         for p in self.plan.partitions:
             self._push(p.end_ms, "heal")
-        self._inject_load()
+        self._schedule_load()
 
         heap, duration = self.heap, self.load.duration_ms
         while heap:

@@ -113,6 +113,14 @@ def test_default_config_fills_f_max():
     (4, {"theta": 0.0}),
     (4, {"n_clients": 0}),               # no one to submit the load
     (4, {"delta_net_ms": 0.5}),          # delays are whole ms in [1, delta]
+    (4.0, {}),                           # counts are integers
+    (4, {"f_max": 1.0}),
+    (4, {"tau_steps": 2.5}),
+    (4, {"max_block_txs": 2.5}),
+    (4, {"spike_snapshot_cap": 3.5}),
+    (4, {"n_clients": 2.5}),
+    (4, {"n_clients": True}),            # a bool is not a count
+    (4, {"gst_ms": -1.0}),
 ])
 def test_config_validate_rejects(n, bad):
     with pytest.raises(ConfigError):

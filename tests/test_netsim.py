@@ -1,14 +1,14 @@
 import collections
 from dataclasses import replace
+from hashlib import sha256
 
 import pytest
 
 import posn.crypto as crypto
 from posn.consensus import Keyring
 from posn.core import ConfigError, default_config, dumps_canonical, hash_block
-from posn.metrics import conflicting_finalizations, summarize
+from posn.metrics import conflicting_finalizations, export, summarize
 from posn.netsim import (
-    CLIENT_BASE,
     FaultPlan,
     LoadProfile,
     Partition,
@@ -75,12 +75,6 @@ def test_find_partition_cuts_only_across():
     assert find_partition((p,), 200.0, 0, 2) is None
 
 
-def test_find_partition_exempts_clients():
-    p = Partition(start_ms=0.0, end_ms=1e9, side_a=frozenset({0}))
-    assert find_partition((p,), 10.0, CLIENT_BASE, 0) is None
-    assert find_partition((p,), 10.0, 0, CLIENT_BASE + 3) is None
-
-
 # --- plan validation --------------------------------------------------------
 
 def test_fault_plan_rejects_too_many_byzantine(cfg4):
@@ -117,6 +111,14 @@ def test_fault_plan_rejects_empty_window(cfg4):
     p = Partition(start_ms=500.0, end_ms=500.0, side_a=frozenset({0}))
     with pytest.raises(ConfigError):
         FaultPlan(partitions=(p,)).validate(cfg4)
+
+
+@pytest.mark.parametrize("protocol", ["posn", "pob", "por"])
+def test_sim_rejects_runs_shorter_than_one_slot(cfg4, protocol):
+    slot = cfg4.slot_ms(protocol)
+    with pytest.raises(ConfigError, match="shorter than one"):
+        Sim(cfg4, FaultPlan(), _load(40.0, slot - 1.0), protocol)
+    assert Sim(cfg4, FaultPlan(), _load(40.0, slot), protocol).n_slots == 1
 
 
 def test_load_profile_rejects_nonsense():
@@ -291,7 +293,8 @@ def _byzantine_store_run():
 
 def test_every_check_asks_the_store(monkeypatch, verify_calls):
     # with nothing pruned, each distinct signature is verified exactly
-    # once, across gossip, proposals, votes, finality and evidence
+    # once, across proposals (each tx included), votes, finality and
+    # evidence
     monkeypatch.setattr(Keyring, "rotate", lambda self: None)
     _byzantine_store_run()
     assert len(verify_calls) == len(set(verify_calls))
@@ -353,8 +356,8 @@ def test_crash_only_costs_the_dead_nodes_slots():
 
 
 def test_transactions_cross_partitions():
-    # clients stay connected to both sides, so the mempools keep filling
-    # during the split and those txs finalize after the heal
+    # a partition cuts validator traffic only: the mempools on both sides
+    # keep filling during the split and those txs finalize after the heal
     cfg = default_config(4, master_seed=12)
     slot = cfg.slot_ms()
     plan = FaultPlan(partitions=(
@@ -429,3 +432,55 @@ def test_baselines_share_the_proposal_validator(monkeypatch):
     assert judged >= 4 * sim.n_slots
     assert calls["validate_proposal"] == judged
     assert calls["por_elect"] == sim.n_slots
+
+
+# --- exact bytes ------------------------------------------------------------
+
+# sha256 of summarize()'s canonical JSON and of the four files export()
+# writes (summary, runlog, slots, txs), recorded before the load became a
+# schedule
+FAULTED_GST_DIGESTS = {
+    "posn": [
+        "e204eb0e7be96d752b2bced972a51803d68129d528e8c6fa72719df666764944",
+        "92a2b2b6be6e81355932314c689fffd935b12cd228784b4e508fea40ff1a58c0",
+        "433d6af199a19325b14cada70d7cd4e47f409dc001f020f069631949b5f0db50",
+        "d405a81dec4a9484f4e482b416e082a7ff2bf222d107f1d24cace6d515fcea0d",
+        "0f8ffdb586e3ede2a71f5c84ed1cddbebf279fad05af3b88019c398c5402490f",
+    ],
+    "por": [
+        "1e29c00b715bde5335fb17e6f402b1f9bd5f0f412bec33063c5de61688d47688",
+        "6b469fdb59ef06b2192360a614555787047ebe89f71e45beb59a2a18ed875e2a",
+        "655313c06362cf2753e93db769768bd4e0f11466dd9ba35785238f064a80e75f",
+        "3e7677776cdcc4db09afba6bd66a8d70433f5b0bbd93806a56b815b9ef8536cf",
+        "e05f5941f28380b9c413056117966030cfaeeae0f5909d894c76d00630561f64",
+    ],
+    "pob": [
+        "046292fc968044e284984cf9d949c5ccec14b8d827396a39126dd22cfa083cbf",
+        "e2f23386a605ff02920e3407b1b3275c9828f3dd2980fa47adb5e27ae88d8767",
+        "da60dfcd227772c03358c8061ce03798377ebed62c28ef1e20d749bc72f1de94",
+        "9cf8807234d760fbcbeefc09d936265749f130e4b2452cff5a2e6df2a516f5de",
+        "f48f36a24bdaad5caf2b9eabcde451b62493385bbb9e0fd81fff7a15ef82cabd",
+    ],
+}
+
+
+def test_faulted_gst_run_exports_are_unchanged(tmp_path):
+    # no benchmark workload has gst_ms > 0, where transactions become
+    # eligible out of arrival order; partition {0,1} over slots 3-6
+    for protocol, expected in FAULTED_GST_DIGESTS.items():
+        cfg = default_config(7, master_seed=1, gst_ms=2500.0)
+        slot = cfg.slot_ms(protocol)
+        plan = FaultPlan(
+            byzantine={6: "Equivocate"},
+            partitions=(Partition(3 * slot, 6 * slot, frozenset({0, 1})),),
+            crash_ms={0: 9 * slot + 3.0, 2: 14 * slot})
+        log = run(cfg, plan, _load(250.0, 20 * slot), protocol=protocol)
+        stats = summarize(log)
+        digests = [sha256(dumps_canonical(stats.to_json()).encode())
+                   .hexdigest()]
+        for path in export(stats, log, str(tmp_path / protocol)):
+            with open(path, "rb") as fh:
+                digests.append(sha256(fh.read()).hexdigest())
+        assert digests == expected, protocol
+        assert log.msg_counters["dropped_crashed"] > 0
+        assert log.msg_counters["sent_TxGossip"] == 7 * len(log.tx_records)
