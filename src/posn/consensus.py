@@ -513,11 +513,12 @@ class Node:
     ships the returned Outgoing messages; nothing here touches the
     network or the clock directly, which keeps replays exact. Broadcasts
     are delivered back to the sender too, so a leader processes its own
-    proposal through the same path as everyone else. Byzantine behavior
-    is layered on top by the harness; this class is always the honest
-    protocol. `replay` gives the protocol's slot context (its election);
-    `protocol` picks only the spike set and the proposal's send time;
-    `schedule` is the run's load as sorted (eligible_ms, counter, tx).
+    proposal through the same path as everyone else. This class is
+    always the honest protocol: the harness applies a Byzantine strategy
+    as a filter on the batches a node returns. `replay` gives the
+    protocol's slot context (its election); `protocol` picks only the
+    spike set and the proposal's send time; `schedule` is the run's load
+    as sorted (eligible_ms, counter, tx).
     """
 
     def __init__(self, index: int, keys: Keyring, cfg: Config,
@@ -533,7 +534,6 @@ class Node:
         self.mempool: dict[bytes, Transaction] = {}
         self._schedule = schedule
         self._admitted = 0  # schedule entries already in the mempool
-        self.finalized_slots: set[int] = set()
         self.slot = _SlotState()
         self.slot_records: list[dict] = []
         # every distinct proposal this node validated, with its verdict
@@ -717,7 +717,6 @@ class Node:
             return []
         self.chain = append_block(self.chain, block, votes, self.cfg,
                                   store=self.keys)
-        self.finalized_slots.add(block.slot)
         self.block_final_ms[block.slot] = now
         for tx in block.txs:
             self.mempool.pop(tx.id, None)
@@ -742,7 +741,7 @@ class Node:
         if key in self.finalize_seen:
             return []
         self.finalize_seen.add(key)
-        if msg.block.slot in self.finalized_slots:
+        if msg.block.slot in self.block_final_ms:
             return []
         finalized, quorum = collect_votes(msg.votes, block_hash,
                                           self.cfg.n_validators, self.keys)

@@ -194,35 +194,26 @@ def export(stats: SummaryStats, log: RunLog, path_prefix: str) -> list[str]:
     Output is a pure function of (stats, log): stable key order, stable
     column order, no timestamps, so re-export is byte-identical.
     """
+    meta = {
+        "protocol": log.protocol,
+        "master_seed": log.master_seed,
+        "duration_ms": log.duration_ms,
+        "observer": log.observer,
+        "config": log.config,
+        "msg_counters": dict(sorted(log.msg_counters.items())),
+        "total_minted": log.total_minted,
+        "total_burned": log.total_burned,
+        "violations": log.violations,
+    }
     try:
         summary_path = f"{path_prefix}_summary.json"
         with open(summary_path, "w", newline="") as fh:
-            fh.write(dumps_canonical({
-                "protocol": log.protocol,
-                "master_seed": log.master_seed,
-                "duration_ms": log.duration_ms,
-                "observer": log.observer,
-                "config": log.config,
-                "stats": stats.to_json(),
-                "msg_counters": dict(sorted(log.msg_counters.items())),
-                "total_minted": log.total_minted,
-                "total_burned": log.total_burned,
-                "violations": log.violations,
-            }))
+            fh.write(dumps_canonical({**meta, "stats": stats.to_json()}))
             fh.write("\n")
 
         runlog_path = f"{path_prefix}_runlog.jsonl"
         with open(runlog_path, "w", newline="") as fh:
-            fh.write(dumps_canonical({"type": "meta", "protocol": log.protocol,
-                                      "master_seed": log.master_seed,
-                                      "duration_ms": log.duration_ms,
-                                      "observer": log.observer,
-                                      "config": log.config,
-                                      "msg_counters": dict(sorted(
-                                          log.msg_counters.items())),
-                                      "total_minted": log.total_minted,
-                                      "total_burned": log.total_burned,
-                                      "violations": log.violations}) + "\n")
+            fh.write(dumps_canonical({"type": "meta", **meta}) + "\n")
             for rec in log.slot_records:
                 fh.write(dumps_canonical({"type": "slot", **rec}) + "\n")
             for rec in log.tx_records:

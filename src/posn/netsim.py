@@ -5,11 +5,11 @@ randomness comes from counter-based streams keyed by purpose strings, so
 every run is a pure function of (Config, FaultPlan, LoadProfile,
 protocol). Models: partially synchronous delays (bounded by delta after
 GST, 10x that before), partitions that hold cross-cut traffic until
-heal, node crashes, and the five Byzantine strategies as outbound
-filters wrapped around otherwise honest nodes. Client transactions are
-not messages: the load is one schedule of signed txs, each eligible
-once every validator would hold it, and every node admits from it at
-each slot start.
+heal, node crashes, and the five Byzantine strategies as filters that
+`Sim` applies to the batches an otherwise honest node returns. Client
+transactions are not messages: the load is one schedule of signed txs,
+each eligible once every validator would hold it, and every node admits
+from it at each slot start.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union, get_args
+from typing import Optional, Sequence, get_args
 
 from hashlib import blake2b
 
@@ -111,104 +111,88 @@ def find_partition(partitions: tuple[Partition, ...], now_ms: float,
     return None
 
 
+def _stale(node: Node, payload: Payload) -> bool:
+    """A proposal or vote for a slot other than the one `node` is in."""
+    current = node.slot.slot
+    if isinstance(payload, Proposal):
+        return payload.block.slot != current
+    if isinstance(payload, VoteMsg):
+        return payload.vote.slot != current
+    return False
+
+
 # ---------------------------------------------------------------------------
-# Byzantine strategy shells
+# Byzantine strategies: filters on an honest node's outbound batches
 # ---------------------------------------------------------------------------
 
-def apply_strategy(strategy: str, shell: "ByzantineShell",
+def apply_strategy(strategy: str, node: Node, held: list[Outgoing],
                    outgoing: list[Outgoing], hook: str) -> list[Outgoing]:
-    """Transform an honest node's outbound batch per strategy. `hook` is
-    where the batch came from: begin, msg, or end (slot boundary)."""
+    """Transform `node`'s outbound batch per strategy. `hook` is the event
+    that produced it: begin, msg, or end (slot boundary). DelayMax keeps
+    the slot's batches in `held` and releases them all at the boundary."""
     if strategy == "Silent":
         return []
     if strategy == "Withhold":
         return [o for o in outgoing
                 if not isinstance(o.payload, (Proposal, VoteMsg))]
     if strategy == "DelayMax":
-        if hook == "end":
-            held, shell.held = shell.held, []
-            return held + list(outgoing)
-        shell.held.extend(outgoing)
-        return []
+        held.extend(outgoing)
+        if hook != "end":
+            return []
+        released = list(held)
+        held.clear()
+        return released
     if strategy == "Equivocate":
-        return _equivocate(shell, outgoing)
+        return _equivocate(node, outgoing)
     if strategy == "ForgeSpike":
         if hook == "begin":
             honest = [o for o in outgoing if not isinstance(o.payload, Proposal)]
-            return honest + shell.forge_proposal()
+            return honest + forge_proposal(node)
         return list(outgoing)
     raise ConfigError(f"unknown strategy {strategy!r}")
 
 
-def _equivocate(shell: "ByzantineShell",
-                outgoing: list[Outgoing]) -> list[Outgoing]:
+def _equivocate(node: Node, outgoing: list[Outgoing]) -> list[Outgoing]:
     """When this node leads, split the network: variant A of its block to
     even validator indices, a conflicting signed variant B to odd ones."""
     out: list[Outgoing] = []
     for o in outgoing:
         if not isinstance(o.payload, Proposal) \
-                or o.payload.block.proposer.index != shell.index:
+                or o.payload.block.proposer.index != node.index:
             out.append(o)
             continue
         block_a = o.payload.block
-        block_b = shell.conflicting_variant(block_a)
-        for v in range(shell.node.cfg.n_validators):
+        block_b = conflicting_variant(node, block_a)
+        for v in range(node.cfg.n_validators):
             variant = block_a if v % 2 == 0 else block_b
             out.append(Outgoing(send_at=o.send_at,
                                 payload=Proposal(variant), dest=v))
     return out
 
 
-class ByzantineShell:
-    """Honest node wrapped with an outbound distortion filter."""
-
-    def __init__(self, node: Node, strategy: str):
-        self.node = node
-        self.strategy = strategy
-        self.index = node.index
-        self.held: list[Outgoing] = []
-
-    def begin_slot(self, slot: int, now: float) -> list[Outgoing]:
-        out = self.node.begin_slot(slot, now)
-        return apply_strategy(self.strategy, self, out, "begin")
-
-    def on_message(self, now: float, payload: Payload) -> list[Outgoing]:
-        out = self.node.on_message(now, payload)
-        return apply_strategy(self.strategy, self, out, "msg")
-
-    def end_slot(self, slot: int, now: float) -> list[Outgoing]:
-        out = self.node.end_slot(slot, now)
-        released = apply_strategy(self.strategy, self, out, "end")
-        # everything held through the slot goes out at the boundary
-        return [replace(o, send_at=max(o.send_at, now)) if o.send_at < now
-                else o for o in released]
-
-    def forge_proposal(self) -> list[Outgoing]:
-        """Claim the slot with fire step 0 no matter what actually spiked."""
-        node = self.node
-        block = Block(slot=node.slot.slot, proposer=node.me,
-                      parent_hash=node.chain.tip_hash,
-                      txs=select_mempool(node.slot.snapshot,
-                                         node.cfg.max_block_txs),
-                      claimed_fire_step=0, vrf_output=None)
-        signed = replace(block,
-                         proposer_signature=crypto.sign(node.sk,
-                                                        block.core_bytes()))
-        send_at = node.slot.started_ms + node.cfg.dt_ms
-        return [Outgoing(send_at=send_at, payload=Proposal(signed))]
-
-    def conflicting_variant(self, block: Block) -> Block:
-        if len(block.txs) >= 2:
-            variant = replace(block, txs=tuple(reversed(block.txs)),
-                              proposer_signature=None)
-        else:
-            variant = replace(block, claimed_fire_step=block.claimed_fire_step + 1,
-                              proposer_signature=None)
-        return replace(variant, proposer_signature=crypto.sign(
-            self.node.sk, variant.core_bytes()))
+def forge_proposal(node: Node) -> list[Outgoing]:
+    """Claim the slot with fire step 0 no matter what actually spiked."""
+    block = Block(slot=node.slot.slot, proposer=node.me,
+                  parent_hash=node.chain.tip_hash,
+                  txs=select_mempool(node.slot.snapshot,
+                                     node.cfg.max_block_txs),
+                  claimed_fire_step=0, vrf_output=None)
+    signed = replace(block,
+                     proposer_signature=crypto.sign(node.sk,
+                                                    block.core_bytes()))
+    send_at = node.slot.started_ms + node.cfg.dt_ms
+    return [Outgoing(send_at=send_at, payload=Proposal(signed))]
 
 
-AnyNode = Union[Node, ByzantineShell]
+def conflicting_variant(node: Node, block: Block) -> Block:
+    if len(block.txs) >= 2:
+        variant = replace(block, txs=tuple(reversed(block.txs)),
+                          proposer_signature=None)
+    else:
+        variant = replace(block, claimed_fire_step=block.claimed_fire_step + 1,
+                          proposer_signature=None)
+    return replace(variant, proposer_signature=crypto.sign(
+        node.sk, variant.core_bytes()))
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +238,12 @@ class Sim:
             self._context = baselines.make_elector(protocol, cfg, self.keys,
                                                    scores=scores)
         self.schedule: list[tuple[float, int, Transaction]] = []
-        self.nodes: list[AnyNode] = []
-        for i in range(cfg.n_validators):
-            node = Node(i, self.keys, cfg, protocol=protocol,
-                        replay=self._memo_replay, schedule=self.schedule)
-            strategy = fault_plan.byzantine.get(i)
-            self.nodes.append(ByzantineShell(node, strategy)
-                              if strategy else node)
+        self.nodes = [Node(i, self.keys, cfg, protocol=protocol,
+                           replay=self._memo_replay, schedule=self.schedule)
+                      for i in range(cfg.n_validators)]
+        # Byzantine index -> the outbound batches DelayMax holds this slot
+        self._delayed: dict[int, list[Outgoing]] = {
+            i: [] for i in fault_plan.byzantine}
 
         # (deliver_at, seq, kind, node, slot, payload); kind is one of
         # begin | end | msg | heal, and (deliver_at, seq) is unique
@@ -274,10 +257,6 @@ class Sim:
         self._tx_index: dict[bytes, int] = {}
 
     # -- deterministic plumbing -------------------------------------------
-
-    def _bare(self, i: int) -> Node:
-        n = self.nodes[i]
-        return n.node if isinstance(n, ByzantineShell) else n
 
     def _memo_replay(self, slot, parent_hash, spike_txs):
         key = (slot, parent_hash, spike_txs)
@@ -427,22 +406,19 @@ class Sim:
                 self._slot = slot
                 self._prune_memo(slot)
                 self.keys.rotate()
-            self._ship(node_i, node.begin_slot(slot, now), now)
+            out = node.begin_slot(slot, now)
         elif kind == "end":
-            self._ship(node_i, node.end_slot(slot, now), now)
-        elif kind == "msg":
-            if self._stale(node_i, payload):
+            out = node.end_slot(slot, now)
+        else:
+            if _stale(node, payload):
                 self._count("dropped_stale")
                 return
-            self._ship(node_i, node.on_message(now, payload), now)
-
-    def _stale(self, node_i: int, payload: Payload) -> bool:
-        current = self._bare(node_i).slot.slot
-        if isinstance(payload, Proposal):
-            return payload.block.slot != current
-        if isinstance(payload, VoteMsg):
-            return payload.vote.slot != current
-        return False
+            out = node.on_message(now, payload)
+        strategy = self.plan.byzantine.get(node_i)
+        if strategy is not None:
+            out = apply_strategy(strategy, node, self._delayed[node_i], out,
+                                 kind)
+        self._ship(node_i, out, now)
 
     def _heal(self, now: float) -> None:
         """Re-send everything held by partitions that just ended."""
@@ -463,7 +439,7 @@ class Sim:
 
     def _collect(self) -> RunLog:
         honest = self.honest_indices()
-        observer = self._bare(min(honest)) if honest else self._bare(0)
+        observer = self.nodes[min(honest)] if honest else self.nodes[0]
         for blk in observer.chain.finalized:
             done_at = observer.block_final_ms.get(blk.slot)
             for tx in blk.txs:
@@ -473,7 +449,7 @@ class Sim:
 
         node_finalized = {}
         for i in honest:
-            chain = self._bare(i).chain
+            chain = self.nodes[i].chain
             node_finalized[i] = [[b.slot, hash_block(b).hex()]
                                  for b in chain.finalized]
 
@@ -497,7 +473,7 @@ class Sim:
         log.violations = [f"conflicting finalization in slot {slot}"
                           for slot in conflicting_finalizations(log)]
         for i in honest:
-            for problem in self._bare(i).chain.check_integrity():
+            for problem in self.nodes[i].chain.check_integrity():
                 log.violations.append(f"node {i}: {problem}")
         return log
 

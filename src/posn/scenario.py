@@ -27,7 +27,7 @@ byzantine and crash also accept the mapping shorthand
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import yaml
@@ -135,11 +135,12 @@ def build_scenario(spec: dict, *, seed: Optional[int] = None,
 
 def load_scenario(path: str, **overrides) -> Scenario:
     with open(path) as fh:
-        spec = yaml.safe_load(fh) or {}
+        try:
+            spec = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"malformed YAML: {exc}") from exc
     sc = build_scenario(spec, **overrides)
     if sc.name == "scenario" and "name" not in spec:
         base = os.path.splitext(os.path.basename(path))[0]
-        return Scenario(name=base, protocol=sc.protocol, cfg=sc.cfg,
-                        fault_plan=sc.fault_plan, load=sc.load,
-                        pob_scores=sc.pob_scores)
+        return replace(sc, name=base)
     return sc

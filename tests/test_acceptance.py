@@ -160,7 +160,7 @@ def test_06_every_honest_validator_rejects_forged_spikes():
         assert log.violations == []
         last_settled = len(log.slot_records) - 2
         for i in sim.honest_indices():
-            node = sim._bare(i)
+            node = sim.nodes[i]
             records = {r["slot"]: r for r in node.slot_records}
             penalized = {(p.reason, p.validator, p.slot)
                          for p in node.chain.penalties_log}
@@ -241,7 +241,7 @@ def test_08_reward_conservation_everywhere():
             log = sim.run()
             assert log.violations == [], (name, seed)
             for i in sim.honest_indices():
-                chain = sim._bare(i).chain
+                chain = sim.nodes[i].chain
                 assert sum(chain.balances.values()) + chain.total_burned \
                     == chain.total_minted, (name, seed, i)
                 assert chain.check_integrity() == [], (name, seed, i)

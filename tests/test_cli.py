@@ -51,6 +51,14 @@ def test_run_missing_scenario_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_malformed_scenario_errors(tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("load: [1, 2")
+    rc = main(["run", "--scenario", str(path)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_sweep_writes_grid(tmp_path, capsys):
     out = tmp_path / "sweep"
     rc = main(["sweep", "--protocols", "posn,por", "--validators", "4",

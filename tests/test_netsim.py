@@ -5,10 +5,11 @@ from hashlib import sha256
 import pytest
 
 import posn.crypto as crypto
-from posn.consensus import Keyring
+from posn.consensus import Keyring, Node
 from posn.core import ConfigError, default_config, dumps_canonical, hash_block
 from posn.metrics import conflicting_finalizations, export, summarize
 from posn.netsim import (
+    STRATEGIES,
     FaultPlan,
     LoadProfile,
     Partition,
@@ -484,3 +485,142 @@ def test_faulted_gst_run_exports_are_unchanged(tmp_path):
         assert digests == expected, protocol
         assert log.msg_counters["dropped_crashed"] > 0
         assert log.msg_counters["sent_TxGossip"] == 7 * len(log.tx_records)
+
+
+def _export_digests(log, directory):
+    """sha256 of summarize()'s canonical JSON and of the four files
+    export() writes (summary, runlog, slots, txs)."""
+    stats = summarize(log)
+    digests = [sha256(dumps_canonical(stats.to_json()).encode()).hexdigest()]
+    for path in export(stats, log, directory):
+        with open(path, "rb") as fh:
+            digests.append(sha256(fh.read()).hexdigest())
+    return digests
+
+
+# recorded while the strategies were a wrapper class around the node
+STRATEGY_DIGESTS = {
+    "DelayMax-posn": [
+        "64e4f656ec166e66eabec8896c1e17614601e13cd87d86372dd8b3844834c990",
+        "789f15a96d68818fb3a40642a57cbe03bc42fec8c288f40cfb8366d8299f285c",
+        "712921a5d64d4e2bdd94e8140a3529576ca2a1b362066a27860c799ab0e767ab",
+        "76eeadc8953a162ec7558e303a950d8e58e61dda017b8bf969b849305d706f34",
+        "741514cc704c931678c0fe0300c3691c4994dc7f18e090f0650354070f8f3307",
+    ],
+    "DelayMax-por": [
+        "28d869264672373f2155b96edbacbd094f70ba45f0f150c30948f916abd35d07",
+        "575cccabcd1d064572a623cc5414fe379434164b3ca490326c964c1cca086b2c",
+        "eb00af61646da73c3dbde7f491933edaaf7e879f65d1dea7dd4f5c1e634f9b98",
+        "a8436391f6327a0f58c6d5df165caef27353b319b579f3a81f5f83d15362479f",
+        "3be308d1b3a99d2dbbf632637d94c39097a3d30666400aaf3732540d3a41d91b",
+    ],
+    "DelayMax-pob": [
+        "fd478b7d519ada16853fd92e249bd4c3f06956316db50f49951f63b65bab180e",
+        "ea4661159e9ccb8ae7a780efe3437be471ddebe77f5c3b6b4f25506393044326",
+        "657aef9c03398ad3c2b119d83a9d9a4860ff8ff1455229e8a68cd436f21f5dad",
+        "6ad279b99d37ac0fe3c3d59b245678d87af0cf105eec269f1a11b6e9d0d9f430",
+        "aea8b6fcadde00c97a666167716a80e801555f4b29a495ae3e9f684b13cc8028",
+    ],
+    "Withhold-posn": [
+        "0edd7de96f9ee476b5c9317d7a1720b34351ede50f5be9e40b2541dcc07b85d8",
+        "3b0bbbbea2b339256e5174155f8cd61492b72cc4634fd15fbafc79eeef50fd08",
+        "9d775c96193622d46dfce72dcaf691c5cc27273fe3aefa2ee4549347bf069bc6",
+        "76eeadc8953a162ec7558e303a950d8e58e61dda017b8bf969b849305d706f34",
+        "741514cc704c931678c0fe0300c3691c4994dc7f18e090f0650354070f8f3307",
+    ],
+    "Withhold-por": [
+        "2ff5712e37ddaf1c0f48e283b7e9e1a5040df95355400f2057077f858fd4bbde",
+        "527edd54f6b00f89c10ad1693074e41a7bb2d2ed1ab5b3996ced2dd86ce73b8b",
+        "c0f03296135d6548bd4720b8382fc42112a83b6cf460fda37647203149a34193",
+        "a8436391f6327a0f58c6d5df165caef27353b319b579f3a81f5f83d15362479f",
+        "3be308d1b3a99d2dbbf632637d94c39097a3d30666400aaf3732540d3a41d91b",
+    ],
+    "Withhold-pob": [
+        "5b3fa9247866a7caf7ce72fa2ffaed4270771089f8488d075033ebeb4e84fc1c",
+        "aad4f0fecd66174737c4317ff7dc4cf6d05682ec95e9370c866b58a4580ef58f",
+        "2f54c8d8b2f8c0d3f1dc133609c2887bc2ab618ef78420d5e1e3233cbe7c476e",
+        "6ad279b99d37ac0fe3c3d59b245678d87af0cf105eec269f1a11b6e9d0d9f430",
+        "aea8b6fcadde00c97a666167716a80e801555f4b29a495ae3e9f684b13cc8028",
+    ],
+    "Equivocate-posn": [
+        "2ba0c9190d693b071610dc3a5a4ca2838ff9d6aefb8467fb986d694acd2abcbb",
+        "850050316d289d80437545005420b5d0b981e315fdfa012d21257f65204e53ad",
+        "b0f98aaf1c01e5e16ab7aa0ea976c891ba6ef38cdf5aa385e168cf83dd50e015",
+        "9e8a9b98e857693233dcde5844146e03fe6166f7a3dbe065e833a15ddf2a340a",
+        "6ef03d763e3cad50d022282c6f24fe6cfa19f786411219d486e30cbd8a02cb57",
+    ],
+    "Equivocate-por": [
+        "d974a0349b9a001ec9619bc0352483ce2e389ce282ef21a5f6d22a79e93d4e56",
+        "a536d96016ef70c60b1b5407a78721a638bbb258da9eef745d39fd0e904f10a1",
+        "50e1152d31ad319e057e17249de2c811a524e06b44b35ef99920b68ce316d327",
+        "275cf817cffd9fa9543148db9036be98ba537c0b590f96f5c9791c1e3c904cfa",
+        "515a2004edb32e811e167178edf6a55fbb4064a71a78e426717defb172d3d2fc",
+    ],
+    "Equivocate-pob": [
+        "ea772f7a5ef993ec365f930a944eef532befe1ac9c1d1c1ecd0afdb188d1ae4a",
+        "2d204afef33bb0d67633ef312cefeae0fd4737c1f2f2decc9e1823cadb5e8773",
+        "c5ada517a72d189ed0bae809396502e9e879f2114aceecb226a6f55b0a700339",
+        "b51cef68e16c5d685a2f96119378808345dd72ce5ee0942a331b4c99b7a2383d",
+        "c4aff863d7b2159ca01b772e63e40ba2b9183e61525a2c2be5ea720f707467a3",
+    ],
+    "ForgeSpike-posn": [
+        "7cde6f612f11fe7e38233a51899f108e62a21d903681e97c1dd7f93a6ec1e06d",
+        "8f1c790be04919921e3425fb9f8a6021ed49a364e71d62d84b303a3454e6e6d2",
+        "62b15b3ad10a9ed6142d00234e5ba40fcacf1daf386f4d30d188c7acdf639906",
+        "ddf7bb518e7351dc87469ff9fc197b621cf48717b79794cb6b9ba609addaed27",
+        "38420bc556e30158b1667f026cede57f2c3acabdcaccff5bef69d50070f098b4",
+    ],
+    "ForgeSpike-por": [
+        "7b578661814b144ea89d94cc206b4499f3c1b4be5bc741bf60214b870af48871",
+        "0503d710978e0d880db3e847950b2c9977a289462269d3b39642e15477dc55d5",
+        "73ad94d36fc7718a49b824c0ca1e79f05bb50d17f8eda4ff74ab8d94e4787843",
+        "72b3863984d1213d5c2b9e49a8b715d30e24d13377db73c39dceb227d57ca3a8",
+        "4d0acc16baea7fe59735dff07695b4d53d1b10fb6ef73b3cfbd81b886232402f",
+    ],
+    "ForgeSpike-pob": [
+        "28f59aaf5b9af7c720b88400df4da288b4ec564f7711ef87b4e64ca469c646a7",
+        "e90063961327d887cb5f4af22995cd914bd4560e7cfd27959d3975c443f223d4",
+        "362f1a8cb65aaaaeeb2589bfb3c60b437c0f0e391c4313f9214a2d1ba755b1f3",
+        "18e5a1a7cd0453d341bf4a0d0d7399b4ec9f46e99125408db702aa70e2f4c4f6",
+        "4271c01a369ab220241d60fc7e3524f6cfb69bcc17bf07dc871601349a266119",
+    ],
+    "Silent-posn": [
+        "31bac711cf09212c4e7a8454ca164ca486cf1a32335382ffb2aaf1cdfc57a79f",
+        "4ee2ae513ffa658d630963d6884f76efb70cef0515e4fc48c9e6b0954ce10b32",
+        "97ab34fd8c61d99b9795ef2b8335cbd1799d27ef45f06d0a60e23a3c6d466267",
+        "76eeadc8953a162ec7558e303a950d8e58e61dda017b8bf969b849305d706f34",
+        "741514cc704c931678c0fe0300c3691c4994dc7f18e090f0650354070f8f3307",
+    ],
+    "Silent-por": [
+        "08301a0a678b5e7c41613cc08414a9f6b4f17e2bb4a085d174152b0da0c1bbc1",
+        "54d342bb8f9ce08e14b80a64a4b7b13d7b4b9ab5495c90884e99508a6ed1ba2b",
+        "3866ccd4ed8f0ebd33581722c655e7e3c795d6f95105ae469156a12bb3d88321",
+        "a8436391f6327a0f58c6d5df165caef27353b319b579f3a81f5f83d15362479f",
+        "3be308d1b3a99d2dbbf632637d94c39097a3d30666400aaf3732540d3a41d91b",
+    ],
+    "Silent-pob": [
+        "042dfd220b75db1049fd539f82f280657341b0a96b54ed63ee78ee02624c5ea8",
+        "2896ca555c289fecbca8dee5b877af8c4af8160e9a9fc8dc02778896eda5f449",
+        "1df301262741ac6e784a4fa3797260a9f9e0ff2cd262f7b7e4d1a5308ba14fac",
+        "6ad279b99d37ac0fe3c3d59b245678d87af0cf105eec269f1a11b6e9d0d9f430",
+        "aea8b6fcadde00c97a666167716a80e801555f4b29a495ae3e9f684b13cc8028",
+    ],
+}
+
+
+@pytest.mark.parametrize("protocol", ["posn", "por", "pob"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_byzantine_strategy_exports_are_unchanged(tmp_path, strategy,
+                                                  protocol):
+    # the faulted-GST shape with the Byzantine node inside the partition,
+    # so DelayMax's held batches wait for the heal
+    cfg = default_config(7, master_seed=1, gst_ms=2500.0)
+    slot = cfg.slot_ms(protocol)
+    plan = FaultPlan(
+        byzantine={6: strategy},
+        partitions=(Partition(3 * slot, 6 * slot, frozenset({0, 6})),),
+        crash_ms={0: 9 * slot + 3.0, 2: 14 * slot})
+    sim = Sim(cfg, plan, _load(250.0, 20 * slot), protocol)
+    assert all(type(node) is Node for node in sim.nodes)
+    digests = _export_digests(sim.run(), str(tmp_path))
+    assert digests == STRATEGY_DIGESTS[f"{strategy}-{protocol}"]
