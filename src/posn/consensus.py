@@ -13,7 +13,6 @@ penalties are the same code for all three protocols.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -259,6 +258,18 @@ class SlotContext:
 ReplayFn = Callable[[int, bytes, tuple[Transaction, ...]], SlotContext]
 
 
+@dataclass(frozen=True)
+class SlotView:
+    """What every node that begins a slot on one chain tip sees, built
+    once per (slot, tip): the pending txs in `select_mempool`'s order,
+    the spike set and block selection (prefixes of that pool; no spike
+    set under the baselines) and the slot's context."""
+    pool: tuple[Transaction, ...]
+    spike_txs: tuple[Transaction, ...]
+    block_txs: tuple[Transaction, ...]
+    ctx: SlotContext
+
+
 def compute_slot_context(slot: int, parent_hash: bytes,
                          spike_txs: tuple[Transaction, ...], cfg: Config,
                          keys: Keyring) -> SlotContext:
@@ -491,9 +502,7 @@ class _SlotState:
     """Everything scoped to the slot in progress."""
     slot: int = -1
     started_ms: float = 0.0
-    snapshot: tuple[Transaction, ...] = ()
-    spike_txs: tuple[Transaction, ...] = ()
-    ctx: Optional[SlotContext] = None
+    view: Optional[SlotView] = None
     proposals: dict[int, dict[bytes, Block]] = field(default_factory=dict)
     relayed: set[bytes] = field(default_factory=set)
     votes: dict[bytes, list[Vote]] = field(default_factory=dict)
@@ -515,15 +524,16 @@ class Node:
     are delivered back to the sender too, so a leader processes its own
     proposal through the same path as everyone else. This class is
     always the honest protocol: the harness applies a Byzantine strategy
-    as a filter on the batches a node returns. `replay` gives the
-    protocol's slot context (its election); `protocol` picks only the
-    spike set and the proposal's send time; `schedule` is the run's load
-    as sorted (eligible_ms, counter, tx).
+    as a filter on the batches a node returns. A node keeps no mempool:
+    `view` gives the slot's `SlotView` for the node's chain tip, shared
+    by every node on that tip; `replay` gives the protocol's slot context
+    (its election) for evidence; `protocol` picks only the proposal's
+    send time.
     """
 
     def __init__(self, index: int, keys: Keyring, cfg: Config,
                  protocol: str, replay: ReplayFn,
-                 schedule: Sequence[tuple[float, int, Transaction]]):
+                 view: Callable[[int, ChainState], SlotView]):
         self.index = index
         self.keys = keys
         self.cfg = cfg
@@ -531,9 +541,6 @@ class Node:
         self.me = keys.validator(index)
         self.sk = keys.sk(index)
         self.chain = ChainState()
-        self.mempool: dict[bytes, Transaction] = {}
-        self._schedule = schedule
-        self._admitted = 0  # schedule entries already in the mempool
         self.slot = _SlotState()
         self.slot_records: list[dict] = []
         # every distinct proposal this node validated, with its verdict
@@ -546,35 +553,24 @@ class Node:
         self.pending_finalize: dict[bytes, tuple[Block, tuple[Vote, ...]]] = {}
         self.block_final_ms: dict[int, float] = {}
         self._replay = replay
+        self._view = view
 
     # -- slot lifecycle ----------------------------------------------------
 
     def begin_slot(self, slot: int, now: float) -> list[Outgoing]:
-        self.slot = _SlotState(slot=slot, started_ms=now)
-        # a tx is admitted at the first slot start where it is eligible, and
-        # a finalized block holds only txs eligible at its slot start, so no
-        # tx is admitted after this node finalized it
-        end = bisect_right(self._schedule, now, key=lambda entry: entry[0])
-        for _, _, tx in self._schedule[self._admitted:end]:
-            self.mempool[tx.id] = tx
-        self._admitted = end
-        self.slot.snapshot = tuple(self.mempool.values())
-        if self.protocol == "posn":
-            self.slot.spike_txs = select_mempool(self.slot.snapshot,
-                                                 self.cfg.spike_snapshot_cap)
-        self.slot.ctx = self._replay(slot, self.chain.tip_hash,
-                                     self.slot.spike_txs)
-        self.slot_history[slot] = (self.chain.tip_hash, self.slot.spike_txs)
+        view = self._view(slot, self.chain)
+        self.slot = _SlotState(slot=slot, started_ms=now, view=view)
+        self.slot_history[slot] = (self.chain.tip_hash, view.spike_txs)
         for old in [s for s in self.slot_history if s < slot - 3]:
             del self.slot_history[old]
-        election = self.slot.ctx.election
+        election = view.ctx.election
         if election is not None and election.leader.index == self.index:
             return [self._make_proposal(now, election)]
         return []
 
     def _make_proposal(self, now: float, election: ElectionResult) -> Outgoing:
         block = propose(self.me, self.sk, self.slot.slot, self.chain.tip_hash,
-                        self.slot.snapshot, election, self.cfg)
+                        self.slot.view.block_txs, election, self.cfg)
         if self.protocol == "posn":
             # the leader can only speak once its neuron has actually fired
             send_at = now + (election.fire_step + 1) * self.cfg.dt_ms
@@ -585,7 +581,7 @@ class Node:
     def end_slot(self, slot: int, now: float) -> list[Outgoing]:
         if slot != self.slot.slot:
             return []
-        election = self.slot.ctx.election if self.slot.ctx else None
+        election = self.slot.view.ctx.election
         self.slot_records.append({
             "slot": slot,
             "outcome": FINALIZED if self.slot.finalized else SKIPPED,
@@ -636,9 +632,10 @@ class Node:
             out.append(Outgoing(send_at=now, payload=Proposal(block)))
 
         if block_hash not in self.slot.validated:
+            view = self.slot.view
             verdict = validate_proposal(
-                block, self.slot.slot, self.chain.tip_hash, self.slot.snapshot,
-                self.cfg, self.keys, ctx=self.slot.ctx)
+                block, self.slot.slot, self.chain.tip_hash, view.block_txs,
+                self.cfg, self.keys, ctx=view.ctx)
             self.slot.validated[block_hash] = verdict
             self.proposal_log.append({
                 "slot": block.slot, "proposer": block.proposer.index,
@@ -647,7 +644,7 @@ class Node:
             if not verdict.accepted and verdict.reason in ("SpikeMismatch",
                                                            "NotElected"):
                 out.extend(self._found_evidence(now, ForgedSpike(
-                    block=block, spike_txs=self.slot.spike_txs,
+                    block=block, spike_txs=view.spike_txs,
                     parent_hash=self.chain.tip_hash)))
             if verdict.accepted and self.slot.own_vote_hash is None \
                     and not self.slot.finalized:
@@ -718,8 +715,6 @@ class Node:
         self.chain = append_block(self.chain, block, votes, self.cfg,
                                   store=self.keys)
         self.block_final_ms[block.slot] = now
-        for tx in block.txs:
-            self.mempool.pop(tx.id, None)
         out: list[Outgoing] = []
         if block.slot == self.slot.slot:
             self.slot.finalized = True

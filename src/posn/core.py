@@ -239,6 +239,7 @@ class Config:
     master_seed: int = 0
 
     def validate(self) -> None:
+        reject_non_finite(self)
         for name in ("n_validators", "f_max", "tau_steps", "max_block_txs",
                      "spike_snapshot_cap", "n_clients"):
             value = getattr(self, name)
@@ -301,6 +302,16 @@ class Config:
         return d
 
 
+def reject_non_finite(params) -> None:
+    """Raise ConfigError for any float field of the dataclass `params`
+    that is NaN or infinite: NaN passes every range check, and an
+    infinite rate or duration never ends the load schedule."""
+    for name in params.__dataclass_fields__:
+        value = getattr(params, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
 def default_config(n_validators: int, **overrides) -> Config:
     f_max = overrides.pop("f_max", max(0, (n_validators - 1) // 3))
     cfg = Config(n_validators=n_validators, f_max=f_max, **overrides)
@@ -327,9 +338,11 @@ def select_mempool(mempool: Sequence[Transaction],
                    max_block_txs: int) -> tuple[Transaction, ...]:
     """Deterministic selection: fee descending, id ascending, first `max`.
 
-    Pure function of its inputs; it checks no signatures. Nodes admit
-    txs from the harness's load schedule, which signs each one, and
-    `consensus.check_signatures` checks every tx of a received block.
+    Pure function of its inputs; it checks no signatures. This order is
+    the spec: the harness keeps each chain tip's pending pool in it, so a
+    node's spike set and block selection are prefixes of that pool. The
+    load schedule signs every tx, and `consensus.check_signatures` checks
+    every tx of a received block.
     """
     ordered = sorted(mempool, key=lambda tx: (-tx.fee, tx.id))
     return tuple(ordered[:max_block_txs])

@@ -8,24 +8,27 @@ GST, 10x that before), partitions that hold cross-cut traffic until
 heal, node crashes, and the five Byzantine strategies as filters that
 `Sim` applies to the batches an otherwise honest node returns. Client
 transactions are not messages: the load is one schedule of signed txs,
-each eligible once every validator would hold it, and every node admits
-from it at each slot start.
+each eligible once every validator would hold it. The pending pool is a
+function of the slot and the chain tip, so `Sim` builds it once per
+(slot, tip), from the pool of the nearest ancestor tip one slot earlier,
+and every node on that tip reads the same `SlotView`.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, get_args
+from typing import Collection, Iterable, Optional, Sequence, get_args
 
 from hashlib import blake2b
 
 from . import baselines, crypto
 from .consensus import (CLIENT_BASE, Keyring, Node, Outgoing, Payload,
-                        Proposal, VoteMsg, compute_slot_context)
-from .core import (Block, Config, ConfigError, Transaction, hash_block, i64,
-                   select_mempool, u64)
+                        Proposal, SlotView, VoteMsg, compute_slot_context)
+from .core import (Block, ChainState, Config, ConfigError, Transaction,
+                   hash_block, i64, reject_non_finite, u64)
 from .kernels import Stream, stream_key
 from .metrics import RunLog, conflicting_finalizations
 
@@ -73,6 +76,7 @@ class LoadProfile:
     fee_max: int = 500
 
     def validate(self) -> None:
+        reject_non_finite(self)
         if self.arrival_rate < 0 or self.duration_ms <= 0:
             raise ConfigError("need arrival_rate >= 0 and duration_ms > 0")
         if self.value_min > self.value_max or self.fee_min > self.fee_max:
@@ -99,6 +103,16 @@ def sample_delay(now_ms: float, stream: Stream, cfg: Config,
 
 # msg_counters name per payload type, built once
 _SENT_NAME = {cls: f"sent_{cls.__name__}" for cls in get_args(Payload)}
+
+
+def merge_pool(pool: Sequence[Transaction], new_txs: Iterable[Transaction],
+               drop: Collection[bytes]) -> tuple[Transaction, ...]:
+    """`pool` and `new_txs` without the txs whose ids are in `drop`, in
+    `select_mempool`'s (-fee, id) order."""
+    merged = [tx for tx in pool if tx.id not in drop]
+    merged.extend(tx for tx in new_txs if tx.id not in drop)
+    merged.sort(key=lambda tx: (-tx.fee, tx.id))
+    return tuple(merged)
 
 
 def find_partition(partitions: tuple[Partition, ...], now_ms: float,
@@ -174,8 +188,7 @@ def forge_proposal(node: Node) -> list[Outgoing]:
     """Claim the slot with fire step 0 no matter what actually spiked."""
     block = Block(slot=node.slot.slot, proposer=node.me,
                   parent_hash=node.chain.tip_hash,
-                  txs=select_mempool(node.slot.snapshot,
-                                     node.cfg.max_block_txs),
+                  txs=node.slot.view.block_txs,
                   claimed_fire_step=0, vrf_output=None)
     signed = replace(block,
                      proposer_signature=crypto.sign(node.sk,
@@ -220,7 +233,11 @@ class Sim:
             raise ConfigError(f"duration_ms {load.duration_ms} is shorter "
                               f"than one {protocol} slot ({self.slot_ms} ms)")
 
-        self._ctx_memo: dict = {}
+        # (slot, parent) -> [(spike set, context)]; spike sets are compared,
+        # not hashed: hashing 256 transactions costs more than a replay lookup
+        self._ctx_memo: dict[tuple[int, bytes], list[tuple]] = {}
+        # (slot, tip) -> the view of every node that began the slot there
+        self._views: dict[tuple[int, bytes], SlotView] = {}
         self._slot = -1  # the slot whose first begin event was dispatched
         scores = None
         if pob_scores is not None:
@@ -239,7 +256,7 @@ class Sim:
                                                    scores=scores)
         self.schedule: list[tuple[float, int, Transaction]] = []
         self.nodes = [Node(i, self.keys, cfg, protocol=protocol,
-                           replay=self._memo_replay, schedule=self.schedule)
+                           replay=self._memo_replay, view=self._view)
                       for i in range(cfg.n_validators)]
         # Byzantine index -> the outbound batches DelayMax holds this slot
         self._delayed: dict[int, list[Outgoing]] = {
@@ -259,12 +276,51 @@ class Sim:
     # -- deterministic plumbing -------------------------------------------
 
     def _memo_replay(self, slot, parent_hash, spike_txs):
-        key = (slot, parent_hash, spike_txs)
-        hit = self._ctx_memo.get(key)
-        if hit is None:
-            hit = self._ctx_memo[key] = self._context(slot, parent_hash,
-                                                      spike_txs)
-        return hit
+        """The slot context, computed once per (slot, parent, spike set).
+        Nodes on one tip pass the same spike tuple, so identity is tested
+        first; evidence carries a tuple that is equal at best."""
+        entries = self._ctx_memo.setdefault((slot, parent_hash), [])
+        for seen, ctx in entries:
+            if seen is spike_txs or seen == spike_txs:
+                return ctx
+        ctx = self._context(slot, parent_hash, spike_txs)
+        entries.append((spike_txs, ctx))
+        return ctx
+
+    def _view(self, slot: int, chain: ChainState) -> SlotView:
+        """The view of every node that begins `slot` on `chain`'s tip:
+        the schedule's entries eligible at the slot start minus the txs
+        finalized on the chain. It derives from the pool of the nearest
+        ancestor tip one slot earlier (a queued finalization can advance
+        a tip several blocks): drop the blocks in between, merge the newly
+        eligible txs. Only slot 0 starts from an empty pool, since every
+        live node begins every slot."""
+        key = (slot, chain.tip_hash)
+        view = self._views.get(key)
+        if view is not None:
+            return view
+        blocks, i = chain.finalized, len(chain.finalized)
+        base = self._views.get((slot - 1, chain.tip_hash))
+        while base is None and i > 0:
+            i -= 1  # try the tip before blocks[i]
+            base = self._views.get((slot - 1, blocks[i].parent_hash))
+        drop = {tx.id for blk in blocks[i:] for tx in blk.txs}
+        start = self._eligible_by(slot - 1) if base is not None else 0
+        new = self.schedule[start:self._eligible_by(slot)]
+        pool = merge_pool(base.pool if base is not None else (),
+                          (tx for _, _, tx in new), drop)
+        spike_txs = (pool[:self.cfg.spike_snapshot_cap]
+                     if self.protocol == "posn" else ())
+        view = self._views[key] = SlotView(
+            pool=pool, spike_txs=spike_txs,
+            block_txs=pool[:self.cfg.max_block_txs],
+            ctx=self._memo_replay(slot, chain.tip_hash, spike_txs))
+        return view
+
+    def _eligible_by(self, slot: int) -> int:
+        """How many schedule entries are eligible when `slot` begins."""
+        return bisect_right(self.schedule, slot * self.slot_ms,
+                            key=lambda entry: entry[0])
 
     def _count(self, name: str, n: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n
@@ -405,6 +461,8 @@ class Sim:
             if slot != self._slot:
                 self._slot = slot
                 self._prune_memo(slot)
+                self._views = {k: v for k, v in self._views.items()
+                               if k[0] == slot - 1}
                 self.keys.rotate()
             out = node.begin_slot(slot, now)
         elif kind == "end":

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import pytest
 import yaml
 
 from posn.cli import main
@@ -57,6 +58,19 @@ def test_run_malformed_scenario_errors(tmp_path, capsys):
     rc = main(["run", "--scenario", str(path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", [
+    "duration_ms: .nan",
+    "config: {delta_net_ms: .nan}",
+])
+def test_run_non_finite_scenario_errors(tmp_path, capsys, scenario):
+    path = tmp_path / "non_finite.yaml"
+    path.write_text(scenario)
+    rc = main(["run", "--scenario", str(path), "--out-dir",
+               str(tmp_path / "out")])
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_sweep_writes_grid(tmp_path, capsys):

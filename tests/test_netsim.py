@@ -1,4 +1,5 @@
 import collections
+import math
 from dataclasses import replace
 from hashlib import sha256
 
@@ -120,6 +121,21 @@ def test_sim_rejects_runs_shorter_than_one_slot(cfg4, protocol):
     with pytest.raises(ConfigError, match="shorter than one"):
         Sim(cfg4, FaultPlan(), _load(40.0, slot - 1.0), protocol)
     assert Sim(cfg4, FaultPlan(), _load(40.0, slot), protocol).n_slots == 1
+
+
+@pytest.mark.parametrize("load,config", [
+    ({"arrival_rate": math.inf}, {}),    # the schedule would never end
+    ({"arrival_rate": math.nan}, {}),
+    ({"duration_ms": math.nan}, {}),
+    ({"duration_ms": math.inf}, {}),
+    ({}, {"delta_net_ms": math.nan}),    # NaN passes every range check
+    ({}, {"gst_ms": math.inf}),
+    ({}, {"lam": math.nan}),
+])
+def test_sim_rejects_non_finite_inputs(cfg4, load, config):
+    with pytest.raises(ConfigError, match="finite"):
+        Sim(replace(cfg4, **config), FaultPlan(),
+            replace(_load(), **load))
 
 
 def test_load_profile_rejects_nonsense():
