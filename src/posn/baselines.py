@@ -17,15 +17,12 @@ from typing import Optional
 
 from . import crypto
 from .consensus import ElectionResult, Keyring, ReplayFn, SlotContext
-from .core import Config, PosnError, ValidatorId, u64
+from .core import Config, ValidatorId, u64
 from .kernels import Stream, stream_key
 
-# mapping ValidatorId -> non-negative score; normalized at sampling time
+# mapping ValidatorId -> non-negative score, not all zero (netsim's
+# check_inputs holds that rule); normalized at sampling time
 ContributionScore = dict[ValidatorId, float]
-
-
-class AllZeroScores(PosnError):
-    pass
 
 
 def beacon_data(slot: int, parent_hash: bytes) -> bytes:
@@ -52,8 +49,6 @@ def pob_elect(slot: int, scores: ContributionScore,
     """
     ordered = sorted(scores.items(), key=lambda kv: kv[0].index)
     total = sum(s for _, s in ordered)
-    if total <= 0.0 or any(s < 0.0 for _, s in ordered):
-        raise AllZeroScores("scores must be non-negative and not all zero")
     u = Stream(stream_key(u64(seed), b"pob", u64(slot))).next_float()
     target = u * total
     acc = 0.0

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from . import crypto
 from .core import (Block, ChainState, Config, PenaltyEntry, PosnError,
                    Transaction, ValidatorId, Vote, append_block, hash_block,
-                   select_mempool, u64)
+                   select_mempool, u64, vote_signing_bytes)
 from .neuro import SlotSeed, first_spike_step, make_slot_seed, spike_params
 
 # slot outcomes; Skipped is the timeout exit
@@ -348,9 +348,8 @@ def collect_votes(votes: Iterable[Vote], block_hash: bytes, n: int,
 
 def make_vote(voter: ValidatorId, sk: bytes, slot: int,
               block_hash: bytes) -> Vote:
-    draft = Vote(slot=slot, block_hash=block_hash, voter=voter,
-                 signature=crypto.Signature(b"\x00" * 32))
-    return replace(draft, signature=crypto.sign(sk, draft.signing_bytes()))
+    return Vote(slot=slot, block_hash=block_hash, voter=voter,
+                signature=crypto.sign(sk, vote_signing_bytes(slot, block_hash)))
 
 
 # ---------------------------------------------------------------------------

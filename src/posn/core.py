@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from hashlib import blake2b
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import (TYPE_CHECKING, Annotated, Iterable, Literal, Optional,
+                    Sequence, Union, get_args, get_origin, get_type_hints)
 
 from .crypto import Signature, VrfOutput
 
@@ -32,7 +34,11 @@ class PosnError(Exception):
 
 
 class ConfigError(PosnError):
-    pass
+    """A bad input, as "<key path>: <problem>" (a field or scenario key)."""
+
+    def __init__(self, path: str, problem: str):
+        super().__init__(f"{path}: {problem}")
+        self.path, self.problem = path, problem
 
 
 class QuorumTooSmall(PosnError):
@@ -63,6 +69,16 @@ def i64(x: int) -> bytes:
     return int(x).to_bytes(8, "little", signed=True)
 
 
+# what a signature covers, from the fields: a signer builds each value once
+def tx_signing_bytes(tx_id: bytes, sender: bytes, receiver: bytes,
+                     value: int, fee: int) -> bytes:
+    return b"posn-tx" + tx_id + sender + receiver + u64(value) + u64(fee)
+
+
+def vote_signing_bytes(slot: SlotId, block_hash: bytes) -> bytes:
+    return b"posn-vote" + u64(slot) + block_hash
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -88,8 +104,8 @@ class Transaction:
     # hashes one bytes object
     @cached_property
     def _signing_bytes(self) -> bytes:
-        return (b"posn-tx" + self.id + self.sender + self.receiver
-                + u64(self.value) + u64(self.fee))
+        return tx_signing_bytes(self.id, self.sender, self.receiver,
+                                self.value, self.fee)
 
     def to_bytes(self) -> bytes:
         return (self.id + self.sender + self.receiver + u64(self.value)
@@ -150,7 +166,7 @@ class Vote:
 
     @cached_property
     def _signing_bytes(self) -> bytes:
-        return b"posn-vote" + u64(self.slot) + self.block_hash
+        return vote_signing_bytes(self.slot, self.block_hash)
 
 
 @dataclass(frozen=True)
@@ -200,6 +216,54 @@ class ChainState:
 # configuration
 # ---------------------------------------------------------------------------
 
+AtLeast = Annotated  # AtLeast[int, 1]: an int no smaller than 1
+_FIELD_TYPES: dict[type, dict] = {}  # dataclass -> its resolved annotations
+
+
+def require(ok: bool, path: str, problem: str) -> None:
+    if not ok:
+        raise ConfigError(path, problem)
+
+
+def check_type(value, tp, path: str) -> None:
+    """Raise ConfigError unless `value` is a `tp`, the annotation of the
+    input at `path`, items included. A bool is no int; a float input takes
+    a finite float or an int, kept as given (so the exported config keeps
+    `50`, not `50.0`); AtLeast adds a lower bound."""
+    origin, args = get_origin(tp) or tp, get_args(tp)
+    if origin is Union:                                  # Optional[X]
+        return None if value is None else check_type(value, args[0], path)
+    if origin is Annotated:                              # AtLeast[X, low]
+        check_type(value, args[0], path)
+        return require(value >= args[1], path,
+                       f"must be at least {args[1]}, got {value!r}")
+    if origin is Literal:
+        return require(isinstance(value, str) and value in args, path,
+                       f"must be one of {', '.join(args)}, got {value!r}")
+    require(isinstance(value, (int, float) if origin is float else origin)
+            and (origin is bool or not isinstance(value, bool)), path,
+            f"must be {'a number' if origin is float else origin.__name__}"
+            f", got {value!r}")
+    require(origin is not float or abs(value) <= sys.float_info.max, path,
+            f"must be finite, got {value!r}")            # NaN fails too
+    if origin is dict and args:
+        for key, item in value.items():
+            check_type(key, args[0], f"{path}[{key!r}]")
+            check_type(item, args[1], f"{path}[{key!r}]")
+    elif args:
+        for i, item in enumerate(value):
+            check_type(item, args[0], f"{path}[{i}]")
+
+
+def check_fields(params) -> None:
+    """Check every field of the dataclass `params` against its annotation."""
+    cls = type(params)
+    if cls not in _FIELD_TYPES:
+        _FIELD_TYPES[cls] = get_type_hints(cls, include_extras=True)
+    for name, tp in _FIELD_TYPES[cls].items():
+        check_type(getattr(params, name), tp, name)
+
+
 @dataclass(frozen=True)
 class Config:
     """Run parameters: validator set, neuron model, rewards, network.
@@ -207,76 +271,51 @@ class Config:
     Neuron defaults follow the reference setting (leak 0.1/ms, threshold
     1.0, reset 0, Poisson arrivals). `tau_steps` micro-steps of `dt_ms`
     discretize one slot's spiking window; the slot period additionally
-    budgets two network round trips (see `slot_ms`).
+    budgets two network round trips (see `slot_ms`). A Config checks its
+    own fields when it is built, so an invalid one cannot exist.
     """
-    n_validators: int
-    f_max: int
-    tau_steps: int = 250
+    n_validators: AtLeast[int, 1]
+    f_max: AtLeast[int, 0]
+    tau_steps: AtLeast[int, 1] = 250
     dt_ms: float = 1.0
     lam: float = 0.1            # leak constant, 1/ms
     theta: float = 1.0          # firing threshold
     v_reset: float = 0.0
     kappa: float = 1000.0       # temporal-coding scale
     epsilon_isi: float = 0.001  # division guard in the ISI formula
-    r_min: float = 0.01         # spikes/ms at fee 0
+    r_min: AtLeast[float, 0] = 0.01  # spikes/ms at fee 0
     r_max: float = 0.05         # spikes/ms asymptote for large fees
     c_value: float = 1000.0     # value normalizer value/(value+c)
     c_fee: float = 1000.0       # fee normalizer fee/(fee+c)
-    d_embed: int = 8
-    encoding: str = "rate"      # rate | temporal | both
-    max_block_txs: int = 64
-    spike_snapshot_cap: int = 256
+    d_embed: AtLeast[int, 2] = 8
+    encoding: Literal["rate", "temporal", "both"] = "rate"
+    max_block_txs: AtLeast[int, 0] = 64
+    spike_snapshot_cap: AtLeast[int, 1] = 256
     r_base: int = 100           # base block reward
     r_vote: int = 10            # per-quorum-voter reward
     penalty_equivocation: int = 50
     penalty_forged_spike: int = 50
     penalty_redistribute: bool = False
-    delta_net_ms: float = 50.0  # post-GST delay bound
-    gst_ms: float = 0.0
-    pob_overhead_ms: Optional[float] = None  # default 2*delta
-    por_overhead_ms: Optional[float] = None  # default 1*delta
-    n_clients: int = 16
-    master_seed: int = 0
+    delta_net_ms: AtLeast[float, 1] = 50.0  # post-GST delay bound, whole ms
+    gst_ms: AtLeast[float, 0] = 0.0
+    pob_overhead_ms: Optional[AtLeast[float, 0]] = None  # default 2*delta
+    por_overhead_ms: Optional[AtLeast[float, 0]] = None  # default 1*delta
+    n_clients: AtLeast[int, 1] = 16
+    master_seed: AtLeast[int, 0] = 0
 
-    def validate(self) -> None:
-        reject_non_finite(self)
-        for name in ("n_validators", "f_max", "tau_steps", "max_block_txs",
-                     "spike_snapshot_cap", "n_clients"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.n_validators < 1:
-            raise ConfigError("need at least one validator")
-        if self.f_max < 0:
-            raise ConfigError("f_max must be non-negative")
-        if self.n_validators < 3 * self.f_max + 1:
-            raise ConfigError(
-                f"N={self.n_validators} violates N >= 3f+1 for f={self.f_max}")
-        if self.lam <= 0:
-            raise ConfigError("leak constant must be positive")
-        if self.theta <= self.v_reset:
-            raise ConfigError("threshold must exceed reset potential")
-        if self.dt_ms <= 0 or self.tau_steps < 1:
-            raise ConfigError("need dt_ms > 0 and tau_steps >= 1")
-        if not (0 <= self.r_min < self.r_max):
-            raise ConfigError("need 0 <= r_min < r_max")
-        if self.r_max * self.dt_ms >= 1.0:
-            raise ConfigError("r_max*dt must stay below 1 (Bernoulli validity)")
-        if self.encoding not in ("rate", "temporal", "both"):
-            raise ConfigError(f"unknown encoding {self.encoding!r}")
-        if self.kappa <= 0 or self.epsilon_isi <= 0:
-            raise ConfigError("kappa and epsilon_isi must be positive")
-        if self.d_embed < 2:
-            raise ConfigError("embedding needs >= 2 components")
-        if self.delta_net_ms < 1:
-            # delays are drawn in whole ms from [1, delta]
-            raise ConfigError("delay bound must be at least 1 ms")
-        if self.gst_ms < 0:
-            raise ConfigError("gst_ms must be non-negative")
-        if self.n_clients < 1:
-            raise ConfigError("need at least one client")
-        if self.max_block_txs < 0 or self.spike_snapshot_cap < 1:
-            raise ConfigError("bad mempool caps")
+    def __post_init__(self) -> None:
+        check_fields(self)
+        for name in ("dt_ms", "lam", "kappa", "epsilon_isi", "c_value",
+                     "c_fee"):
+            require(getattr(self, name) > 0, name, "must be positive")
+        n, f = self.n_validators, self.f_max
+        require(n >= 3 * f + 1, "f_max", f"N={n} violates N >= 3f+1 for f={f}")
+        require(self.theta > self.v_reset, "theta",
+                "threshold must exceed reset potential")
+        require(self.r_min < self.r_max, "r_min", "need r_min < r_max")
+        require(self.r_max * self.dt_ms < 1.0, "r_max",
+                "r_max*dt must stay below 1 (Bernoulli validity)")
+        require(self.master_seed < 2 ** 64, "master_seed", "must be a u64")
 
     @property
     def decay(self) -> float:
@@ -298,25 +337,12 @@ class Config:
         return base + self.overhead_ms(protocol)
 
     def to_json(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        return d
-
-
-def reject_non_finite(params) -> None:
-    """Raise ConfigError for any float field of the dataclass `params`
-    that is NaN or infinite: NaN passes every range check, and an
-    infinite rate or duration never ends the load schedule."""
-    for name in params.__dataclass_fields__:
-        value = getattr(params, name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value!r}")
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def default_config(n_validators: int, **overrides) -> Config:
     f_max = overrides.pop("f_max", max(0, (n_validators - 1) // 3))
-    cfg = Config(n_validators=n_validators, f_max=f_max, **overrides)
-    cfg.validate()
-    return cfg
+    return Config(n_validators=n_validators, f_max=f_max, **overrides)
 
 
 # ---------------------------------------------------------------------------

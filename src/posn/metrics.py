@@ -65,18 +65,10 @@ class SummaryStats:
     mean_finalization_gap: Optional[float]
 
     def to_json(self) -> dict:
-        return {
-            "tps": self.tps,
-            "latency_ms": self.latency_ms,
-            "leader_entropy_bits": self.leader_entropy_bits,
-            "leader_counts": {str(k): v
-                              for k, v in sorted(self.leader_counts.items())},
-            "skipped_slots": self.skipped_slots,
-            "finalized_slots": self.finalized_slots,
-            "finalized_txs": self.finalized_txs,
-            "msgs_per_finalized_block": self.msgs_per_finalized_block,
-            "mean_finalization_gap": self.mean_finalization_gap,
-        }
+        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
+        d["leader_counts"] = {str(k): v
+                              for k, v in sorted(self.leader_counts.items())}
+        return d
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +108,8 @@ def leader_entropy(counts: dict) -> float:
     total = sum(counts.values())
     if total <= 0:
         raise PosnError("entropy needs at least one observation")
-    terms = []
-    for c in counts.values():
-        if c > 0:
-            p = c / total
-            terms.append(-p * math.log2(p))
-    return math.fsum(terms)
+    return math.fsum(-c / total * math.log2(c / total)
+                     for c in counts.values() if c > 0)
 
 
 def finalization_gaps(log: RunLog) -> list[int]:
@@ -178,6 +166,9 @@ def conflicting_finalizations(log: RunLog) -> list[int]:
 SLOT_COLUMNS = ["slot", "outcome", "leader", "fire_step", "tie_size",
                 "vrf_used", "quorum_size", "n_block_txs", "finalize_ms"]
 TX_COLUMNS = ["id", "submit_ms", "finalize_ms", "latency_ms"]
+# the RunLog fields in the summary and in the runlog's meta record
+META_FIELDS = ("protocol", "master_seed", "duration_ms", "observer", "config",
+               "msg_counters", "total_minted", "total_burned", "violations")
 
 
 def _cell(value) -> str:
@@ -194,17 +185,7 @@ def export(stats: SummaryStats, log: RunLog, path_prefix: str) -> list[str]:
     Output is a pure function of (stats, log): stable key order, stable
     column order, no timestamps, so re-export is byte-identical.
     """
-    meta = {
-        "protocol": log.protocol,
-        "master_seed": log.master_seed,
-        "duration_ms": log.duration_ms,
-        "observer": log.observer,
-        "config": log.config,
-        "msg_counters": dict(sorted(log.msg_counters.items())),
-        "total_minted": log.total_minted,
-        "total_burned": log.total_burned,
-        "violations": log.violations,
-    }
+    meta = {k: getattr(log, k) for k in META_FIELDS}
     try:
         summary_path = f"{path_prefix}_summary.json"
         with open(summary_path, "w", newline="") as fh:
@@ -248,37 +229,32 @@ def export(stats: SummaryStats, log: RunLog, path_prefix: str) -> list[str]:
 def load_runlog(path: str) -> RunLog:
     """Rebuild a RunLog from its JSON-lines export (inverse of the
     runlog part of `export`; per-node balances are not exported and come
-    back empty here)."""
-    meta = None
-    slots: list[dict] = []
-    txs: list[dict] = []
-    penalties: list[dict] = []
-    chains: dict[int, list[list]] = {}
+    back empty here). A malformed record raises IoFailure naming the file
+    and the line."""
+    meta, chains, records = None, {}, {"slot": [], "tx": [], "penalty": []}
     try:
         with open(path) as fh:
-            for line in fh:
-                rec = json.loads(line)
-                kind = rec.pop("type")
-                if kind == "meta":
-                    meta = rec
-                elif kind == "slot":
-                    slots.append(rec)
-                elif kind == "tx":
-                    txs.append(rec)
-                elif kind == "penalty":
-                    penalties.append(rec)
-                elif kind == "chain":
-                    chains[int(rec["node"])] = rec["blocks"]
+            for lineno, line in enumerate(fh, 1):
+                where = f"{path}, line {lineno}"
+                try:
+                    rec = json.loads(line)
+                    kind = rec.pop("type")
+                    if kind == "meta":
+                        meta, meta_at = rec, where
+                    elif kind == "chain":
+                        chains[int(rec["node"])] = rec["blocks"]
+                    elif kind in records:
+                        records[kind].append(rec)
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    raise IoFailure(f"{where}: not a runlog record ({exc!r})"
+                                    ) from None
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
     if meta is None:
         raise IoFailure(f"{path}: no meta record")
-    return RunLog(protocol=meta["protocol"], config=meta["config"],
-                  master_seed=meta["master_seed"],
-                  duration_ms=meta["duration_ms"], observer=meta["observer"],
-                  slot_records=slots, tx_records=txs, penalties=penalties,
-                  node_finalized=chains,
-                  msg_counters=meta.get("msg_counters", {}),
-                  total_minted=meta.get("total_minted", 0),
-                  total_burned=meta.get("total_burned", 0),
-                  violations=meta.get("violations", []))
+    try:
+        return RunLog(**{k: meta[k] for k in META_FIELDS},
+                      slot_records=records["slot"], tx_records=records["tx"],
+                      penalties=records["penalty"], node_finalized=chains)
+    except KeyError as exc:
+        raise IoFailure(f"{meta_at}: the meta record lacks {exc}") from None

@@ -20,19 +20,23 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Collection, Iterable, Optional, Sequence, get_args
+from typing import Collection, Iterable, Literal, Optional, Sequence, get_args
 
 from hashlib import blake2b
 
 from . import baselines, crypto
 from .consensus import (CLIENT_BASE, Keyring, Node, Outgoing, Payload,
                         Proposal, SlotView, VoteMsg, compute_slot_context)
-from .core import (Block, ChainState, Config, ConfigError, Transaction,
-                   hash_block, i64, reject_non_finite, u64)
+from .core import (AtLeast, Block, ChainState, Config, Transaction,
+                   check_fields, check_type, hash_block, i64, require,
+                   tx_signing_bytes, u64)
 from .kernels import Stream, stream_key
 from .metrics import RunLog, conflicting_finalizations
 
-STRATEGIES = ("DelayMax", "Withhold", "Equivocate", "ForgeSpike", "Silent")
+Protocol = Literal["posn", "pob", "por"]
+Strategy = Literal["DelayMax", "Withhold", "Equivocate", "ForgeSpike",
+                   "Silent"]
+STRATEGIES = get_args(Strategy)
 
 
 @dataclass(frozen=True)
@@ -42,45 +46,60 @@ class Partition:
     end_ms: float
     side_a: frozenset[int]
 
+    def __post_init__(self) -> None:
+        check_fields(self)
+        require(self.end_ms > self.start_ms, "end_ms", "window is empty")
+
 
 @dataclass(frozen=True)
 class FaultPlan:
-    byzantine: dict[int, str] = field(default_factory=dict)
+    byzantine: dict[int, Strategy] = field(default_factory=dict)
     partitions: tuple[Partition, ...] = ()
     crash_ms: dict[int, float] = field(default_factory=dict)
 
-    def validate(self, cfg: Config) -> None:
-        if len(self.byzantine) > cfg.f_max:
-            raise ConfigError(
-                f"{len(self.byzantine)} byzantine nodes > f_max {cfg.f_max}")
-        for idx, strategy in self.byzantine.items():
-            if not 0 <= idx < cfg.n_validators:
-                raise ConfigError(f"byzantine index {idx} out of range")
-            if strategy not in STRATEGIES:
-                raise ConfigError(f"unknown strategy {strategy!r}")
-        for idx in self.crash_ms:
-            if not 0 <= idx < cfg.n_validators:
-                raise ConfigError(f"crash index {idx} out of range")
-        for p in self.partitions:
-            if p.end_ms <= p.start_ms:
-                raise ConfigError("empty partition window")
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class LoadProfile:
-    arrival_rate: float  # tx per second, Poisson
+    arrival_rate: AtLeast[float, 0]  # tx per second, Poisson
     duration_ms: float
-    value_min: int = 1
+    value_min: AtLeast[int, 0] = 1
     value_max: int = 2000
-    fee_min: int = 0
+    fee_min: AtLeast[int, 0] = 0
     fee_max: int = 500
 
-    def validate(self) -> None:
-        reject_non_finite(self)
-        if self.arrival_rate < 0 or self.duration_ms <= 0:
-            raise ConfigError("need arrival_rate >= 0 and duration_ms > 0")
-        if self.value_min > self.value_max or self.fee_min > self.fee_max:
-            raise ConfigError("empty value/fee range")
+    def __post_init__(self) -> None:
+        check_fields(self)
+        require(self.duration_ms > 0, "duration_ms", "must be positive")
+        for lo, hi in (("value_min", "value_max"), ("fee_min", "fee_max")):
+            # a transaction carries both as u64
+            require(getattr(self, lo) <= getattr(self, hi) < 2 ** 64, hi,
+                    f"need {lo} <= {hi} < 2**64")
+
+
+def check_inputs(cfg: Config, plan: FaultPlan, load: LoadProfile,
+                 protocol: str, pob_scores: Optional[dict[int, float]]
+                 ) -> None:
+    """Sim's rules on its bare inputs and on those spanning its inputs."""
+    check_type(protocol, Protocol, "protocol")
+    check_type(pob_scores, Optional[dict[int, AtLeast[float, 0]]],
+               "pob_scores")
+    slot_ms = cfg.slot_ms(protocol)
+    require(load.duration_ms // slot_ms >= 1, "duration_ms",
+            f"{load.duration_ms} is shorter than one {protocol} slot "
+            f"({slot_ms} ms)")
+    require(len(plan.byzantine) <= cfg.f_max, "byzantine",
+            f"{len(plan.byzantine)} Byzantine validators > f_max {cfg.f_max}")
+    for name, indexed in (("byzantine", plan.byzantine),
+                          ("crash_ms", plan.crash_ms),
+                          ("pob_scores", pob_scores or {})):
+        for i in indexed:
+            require(0 <= i < cfg.n_validators, f"{name}[{i}]",
+                    f"no validator {i} among {cfg.n_validators}")
+    require(pob_scores is None or sum(pob_scores.values()) > 0,
+            "pob_scores", "must not all be zero")
 
 
 def delay_bound(now_ms: float, cfg: Config) -> float:
@@ -158,12 +177,11 @@ def apply_strategy(strategy: str, node: Node, held: list[Outgoing],
         return released
     if strategy == "Equivocate":
         return _equivocate(node, outgoing)
-    if strategy == "ForgeSpike":
-        if hook == "begin":
-            honest = [o for o in outgoing if not isinstance(o.payload, Proposal)]
-            return honest + forge_proposal(node)
-        return list(outgoing)
-    raise ConfigError(f"unknown strategy {strategy!r}")
+    # ForgeSpike: a FaultPlan holds no other strategy
+    if hook == "begin":
+        honest = [o for o in outgoing if not isinstance(o.payload, Proposal)]
+        return honest + forge_proposal(node)
+    return list(outgoing)
 
 
 def _equivocate(node: Node, outgoing: list[Outgoing]) -> list[Outgoing]:
@@ -216,11 +234,7 @@ class Sim:
     def __init__(self, cfg: Config, fault_plan: FaultPlan, load: LoadProfile,
                  protocol: str = "posn",
                  pob_scores: Optional[dict[int, float]] = None):
-        cfg.validate()
-        fault_plan.validate(cfg)
-        load.validate()
-        if protocol not in ("posn", "pob", "por"):
-            raise ConfigError(f"unknown protocol {protocol!r}")
+        check_inputs(cfg, fault_plan, load, protocol, pob_scores)
         self.cfg = cfg
         self.plan = fault_plan
         self.load = load
@@ -229,9 +243,6 @@ class Sim:
                             n_clients=cfg.n_clients)
         self.slot_ms = cfg.slot_ms(protocol)
         self.n_slots = int(load.duration_ms // self.slot_ms)
-        if self.n_slots < 1:
-            raise ConfigError(f"duration_ms {load.duration_ms} is shorter "
-                              f"than one {protocol} slot ({self.slot_ms} ms)")
 
         # (slot, parent) -> [(spike set, context)]; spike sets are compared,
         # not hashed: hashing 256 transactions costs more than a replay lookup
@@ -239,12 +250,8 @@ class Sim:
         # (slot, tip) -> the view of every node that began the slot there
         self._views: dict[tuple[int, bytes], SlotView] = {}
         self._slot = -1  # the slot whose first begin event was dispatched
-        scores = None
-        if pob_scores is not None:
-            for i in pob_scores:
-                if not 0 <= i < cfg.n_validators:
-                    raise ConfigError(f"pob_scores index {i} out of range")
-            scores = {self.keys.validator(i): s for i, s in pob_scores.items()}
+        scores = None if pob_scores is None else {
+            self.keys.validator(i): s for i, s in pob_scores.items()}
         # the protocol's slot context, memoized by _memo_replay; posn's
         # reads the global compute_slot_context per call: tracers rebind it
         if protocol == "posn":
@@ -417,11 +424,11 @@ class Sim:
         tx_id = blake2b(
             b"posn-txid" + u64(self.cfg.master_seed) + u64(counter),
             digest_size=32).digest()
-        draft = Transaction(id=tx_id, sender=sender_kp.pk,
-                            receiver=receiver_kp.pk, value=value, fee=fee,
-                            signature=crypto.Signature(b"\x00" * 32))
-        return replace(draft, signature=crypto.sign(sender_kp.sk,
-                                                    draft.signing_bytes()))
+        signature = crypto.sign(sender_kp.sk, tx_signing_bytes(
+            tx_id, sender_kp.pk, receiver_kp.pk, value, fee))
+        return Transaction(id=tx_id, sender=sender_kp.pk,
+                           receiver=receiver_kp.pk, value=value, fee=fee,
+                           signature=signature)
 
     # -- main loop ---------------------------------------------------------
 

@@ -1,13 +1,26 @@
 import random
+import tempfile
 from dataclasses import replace
 from typing import Iterable
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import posn.crypto as crypto
 from posn.consensus import Keyring
 from posn.core import PosnError, Transaction, default_config
 from posn.crypto import Signature, keygen, sign
+
+# every property test is derandomized and keeps no example database, so
+# tier-1 runs are reproducible; the cache Hypothesis still keeps (constants
+# read from local sources) goes to a directory removed at exit, not to
+# .hypothesis/
+settings.register_profile("posn", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("posn")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="posn-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture

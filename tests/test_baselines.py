@@ -5,7 +5,6 @@ import pytest
 
 from posn import crypto
 from posn.baselines import (
-    AllZeroScores,
     beacon_data,
     make_elector,
     pob_elect,
@@ -14,8 +13,9 @@ from posn.baselines import (
 )
 from posn.consensus import (ForgedSpike, InvalidEvidence, Keyring, propose,
                             validate_proposal, verify_evidence)
-from posn.core import GENESIS_HASH, default_config
+from posn.core import GENESIS_HASH, ConfigError, default_config
 from posn.metrics import leader_entropy
+from posn.netsim import FaultPlan, LoadProfile, Sim
 
 
 @pytest.fixture
@@ -73,11 +73,12 @@ def test_pob_scale_invariance(keys8):
 
 
 def test_pob_rejects_degenerate_scores(keys8):
-    vs = keys8.validators
-    with pytest.raises(AllZeroScores):
-        pob_elect(0, {v: 0.0 for v in vs}, 1)
-    with pytest.raises(AllZeroScores):
-        pob_elect(0, {vs[0]: 2.0, vs[1]: -1.0}, 1)
+    # the rule is checked once, when the run's inputs are put together
+    cfg = default_config(8, master_seed=77)
+    load = LoadProfile(arrival_rate=10.0, duration_ms=2000.0)
+    for scores in ({i: 0.0 for i in range(8)}, {0: 2.0, 1: -1.0}):
+        with pytest.raises(ConfigError, match=r"^pob_scores"):
+            Sim(cfg, FaultPlan(), load, "pob", pob_scores=scores)
 
 
 def test_pob_zero_score_never_wins(keys8):

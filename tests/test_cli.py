@@ -4,6 +4,7 @@ import json
 import pytest
 import yaml
 
+import posn.netsim as netsim
 from posn.cli import main
 from posn.metrics import load_runlog, summarize
 
@@ -98,3 +99,122 @@ def test_report_matches_export(tmp_path, capsys):
     expected = summarize(load_runlog(str(runlog))).to_json()
     assert doc["stats"] == json.loads(json.dumps(expected))
     assert doc["protocol"] == "posn"
+
+
+# --- exit statuses: 0 ok, 1 safety violation, 2 bad input -------------------
+
+@pytest.mark.parametrize("scenario,path", [
+    ("load: {value: [5]}", "load.value"),
+    ("load: {value: 7}", "load.value"),
+    ("load: {value: [1, 2, 3]}", "load.value"),
+    ("load: {arrival_rate: fast}", "load.arrival_rate"),
+    ("faults: {byzantine: [{index: 1}]}", "faults.byzantine[0].strategy"),
+    ("faults: {partitions: [{start_ms: 1, end_ms: 2}]}",
+     "faults.partitions[0].side_a"),
+    ("faults: {partitions: [{start_ms: 1, end_ms: 2, side_a: 3}]}",
+     "faults.partitions[0].side_a"),
+    ("validators: four", "validators"),
+    ("config: 3", "config"),
+    ("config: {lam: x}", "config.lam"),
+    ("config: {delta_net_ms: true}", "config.delta_net_ms"),
+    ("config: {penalty_redistribute: 'yes'}", "config.penalty_redistribute"),
+    ("config: {tau_steps: 2.5}", "config.tau_steps"),
+    ("seed: abc", "seed"),
+    ("seed: -1", "seed"),
+    ("duration_s: [1]", "duration_s"),
+    ("name: [1]", "name"),
+    ("pob_scores: [1, 2]", "pob_scores"),
+    ("pob_scores: {0: .nan, 1: 1}", "pob_scores[0]"),
+    ("pob_scores: {0: 0, 1: 0, 2: 0, 3: 0}", "pob_scores"),
+    ("- 1", "scenario"),
+])
+def test_run_bad_scenario_exits_2_with_key_path(tmp_path, capsys, scenario,
+                                                path):
+    spec = tmp_path / "bad.yaml"
+    spec.write_text(scenario)
+    rc = main(["run", "--scenario", str(spec), "--out-dir",
+               str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {path}: "), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()  # rejected before any run
+
+
+def test_run_negative_seed_flag_exits_2(tmp_path, capsys):
+    rc = main(["run", "--seed", "-1", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: seed: ")
+
+
+def _violating(monkeypatch):
+    """Make every run record one conflicting finalization."""
+    monkeypatch.setattr(netsim, "conflicting_finalizations", lambda log: [0])
+
+
+def test_run_exit_statuses(tmp_path, capsys, monkeypatch):
+    scenario = _write_scenario(tmp_path, duration_s=2)
+    args = ["run", "--scenario", scenario, "--out-dir", str(tmp_path / "o")]
+    assert main(args) == 0
+    assert main(args[:-2] + ["--validators", "0"]) == 2
+    _violating(monkeypatch)
+    assert main(args) == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--validators", "a"], ["--rates", "fast"], ["--seeds", "-1"],
+    ["--seeds", ""], ["--protocols", "posn,pow"], ["--seeds", "[1"],
+])
+def test_sweep_bad_list_exits_2_before_any_run(tmp_path, capsys, flags):
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--protocols", "posn", "--validators", "4",
+               "--seeds", "1", "--duration-s", "2", "--out-dir", str(out)]
+              + flags)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_sweep_exit_statuses(tmp_path, capsys, monkeypatch):
+    args = ["sweep", "--protocols", "por", "--validators", "4", "--seeds",
+            "1", "--duration-s", "2", "--out-dir", str(tmp_path)]
+    assert main(args) == 0
+    _violating(monkeypatch)
+    assert main(args) == 1
+
+
+def _runlog_lines(tmp_path) -> list[str]:
+    scenario = _write_scenario(tmp_path, duration_s=2)
+    out = tmp_path / "out"
+    main(["run", "--scenario", scenario, "--out-dir", str(out)])
+    return (out / "case_posn_seed17_runlog.jsonl").read_text().splitlines()
+
+
+def test_report_exit_statuses(tmp_path, capsys):
+    lines = _runlog_lines(tmp_path)
+    meta = json.loads(lines[0])
+    assert meta["type"] == "meta" and meta["violations"] == []
+    clean = tmp_path / "clean.jsonl"
+    clean.write_text("\n".join(lines) + "\n")
+    violated = tmp_path / "violated.jsonl"
+    violated.write_text("\n".join(
+        [json.dumps({**meta, "violations": ["conflicting finalization in "
+                                            "slot 3"]})] + lines[1:]) + "\n")
+    truncated = tmp_path / "truncated.jsonl"
+    truncated.write_text("\n".join(lines[:2] + [lines[2][:9]]) + "\n")
+    no_protocol = tmp_path / "no_protocol.jsonl"
+    no_protocol.write_text("\n".join(
+        [json.dumps({k: v for k, v in meta.items() if k != "protocol"})]
+        + lines[1:]) + "\n")
+    capsys.readouterr()
+    assert main(["report", str(clean)]) == 0
+    assert main(["report", str(violated)]) == 1
+    capsys.readouterr()
+    assert main(["report", str(truncated)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {truncated}, line 3: not a runlog record")
+    assert main(["report", str(no_protocol)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {no_protocol}, line 1: the meta record lacks 'protocol'\n")

@@ -1,5 +1,7 @@
+import math
 from dataclasses import fields, replace
 from hashlib import blake2b
+from typing import Literal, Optional
 
 import pytest
 
@@ -13,11 +15,15 @@ from posn.core import (
     InvalidVoteSignature,
     ParentMismatch,
     QuorumTooSmall,
+    AtLeast,
     append_block,
+    check_type,
     default_config,
     dumps_canonical,
     hash_block,
     select_mempool,
+    tx_signing_bytes,
+    vote_signing_bytes,
 )
 from posn.crypto import sign
 from posn.neuro import make_slot_seed
@@ -121,10 +127,72 @@ def test_default_config_fills_f_max():
     (4, {"n_clients": 2.5}),
     (4, {"n_clients": True}),            # a bool is not a count
     (4, {"gst_ms": -1.0}),
+    (4, {"master_seed": -1}),            # seeds are u64
+    (4, {"master_seed": 2 ** 64}),
+    (4, {"lam": math.nan}),
+    (4, {"delta_net_ms": 10 ** 400}),    # an int no float can hold
+    (4, {"encoding": 3}),
+    (4, {"c_fee": 0.0}),                 # fee/(fee+c) at fee 0
+    (4, {"pob_overhead_ms": -1.0}),
+    (4, {"penalty_redistribute": 1}),
+    (4, {"d_embed": True}),
 ])
 def test_config_validate_rejects(n, bad):
+    # a Config checks itself when it is built: an invalid one cannot exist
     with pytest.raises(ConfigError):
-        default_config(n, **bad).validate()
+        default_config(n, **bad)
+
+
+def test_config_checks_itself_again_on_replace(cfg4):
+    with pytest.raises(ConfigError) as info:
+        replace(cfg4, tau_steps=2.5)
+    assert str(info.value) == "tau_steps: must be int, got 2.5"
+    with pytest.raises(ConfigError, match=r"^f_max: "):
+        replace(cfg4, n_validators=3)
+
+
+def test_config_keeps_an_int_given_for_a_float_field():
+    cfg = default_config(4, delta_net_ms=50, pob_overhead_ms=None)
+    assert type(cfg.delta_net_ms) is int
+    assert '"delta_net_ms":50,' in dumps_canonical(cfg.to_json())
+
+
+@pytest.mark.parametrize("value,tp,path", [
+    (True, int, "x"),                    # a bool is no int
+    (1.5, int, "x"),
+    (None, float, "x"),
+    ("1", float, "x"),
+    (math.inf, float, "x"),
+    (-1, AtLeast[int, 0], "x"),
+    ("posn ", Literal["posn"], "x"),
+    ({1: "a", "b": "c"}, dict[int, str], "x['b']"),
+    ({1: 2}, dict[int, str], "x[1]"),
+    ([1, "a"], list[int], "x[1]"),
+    ((1, None), tuple[int, ...], "x[1]"),
+    ({0: -1.0}, Optional[dict[int, AtLeast[float, 0]]], "x[0]"),
+])
+def test_check_type_names_the_bad_item(value, tp, path):
+    with pytest.raises(ConfigError) as info:
+        check_type(value, tp, "x")
+    assert info.value.path == path
+
+
+@pytest.mark.parametrize("value,tp", [
+    (3, float), (2.5, float), (None, Optional[float]), (False, bool),
+    (0, AtLeast[int, 0]), ({}, dict[int, str]), (frozenset({2}),
+                                                 frozenset[int]),
+])
+def test_check_type_accepts(value, tp):
+    check_type(value, tp, "x")
+
+
+def test_signed_values_are_built_from_their_fields(keys4):
+    tx = make_tx(5)
+    assert tx.signing_bytes() == tx_signing_bytes(
+        tx.id, tx.sender, tx.receiver, tx.value, tx.fee)
+    vote = make_vote(keys4.validator(1), keys4.sk(1), 7, b"\x02" * 32)
+    assert vote.signing_bytes() == vote_signing_bytes(7, b"\x02" * 32)
+    assert keys4.check(vote.voter.pk, vote.signing_bytes(), vote.signature)
 
 
 def test_config_slot_budget_covers_round_trips(cfg4):

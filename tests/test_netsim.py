@@ -78,41 +78,42 @@ def test_find_partition_cuts_only_across():
 
 
 # --- plan validation --------------------------------------------------------
+# A FaultPlan checks its own fields when built; its indices against N and
+# f_max are checked when a Sim is built from it.
 
 def test_fault_plan_rejects_too_many_byzantine(cfg4):
     plan = FaultPlan(byzantine={1: "Silent", 2: "Silent"})
     with pytest.raises(ConfigError):
-        plan.validate(cfg4)
+        Sim(cfg4, plan, _load())
 
 
 def test_fault_plan_rejects_unknown_strategy(cfg4):
     with pytest.raises(ConfigError):
-        FaultPlan(byzantine={1: "Lazy"}).validate(cfg4)
+        FaultPlan(byzantine={1: "Lazy"})
 
 
 def test_fault_plan_rejects_bad_index(cfg4):
     with pytest.raises(ConfigError):
-        FaultPlan(byzantine={9: "Silent"}).validate(cfg4)
+        Sim(cfg4, FaultPlan(byzantine={9: "Silent"}), _load())
 
 
 def test_fault_plan_rejects_bad_crash_index(cfg4):
     for idx in (4, -1):
-        with pytest.raises(ConfigError, match=f"crash index {idx}"):
-            FaultPlan(crash_ms={idx: 100.0}).validate(cfg4)
+        with pytest.raises(ConfigError, match=rf"^crash_ms\[{idx}\]: "):
+            Sim(cfg4, FaultPlan(crash_ms={idx: 100.0}), _load())
 
 
 @pytest.mark.parametrize("protocol", ["posn", "pob", "por"])
 def test_sim_rejects_pob_scores_for_unknown_validators(cfg4, protocol):
     for idx in (4, -1):
-        with pytest.raises(ConfigError, match=f"pob_scores index {idx}"):
+        with pytest.raises(ConfigError, match=rf"^pob_scores\[{idx}\]: "):
             Sim(cfg4, FaultPlan(), _load(), protocol,
                 pob_scores={0: 1.0, idx: 2.0})
 
 
 def test_fault_plan_rejects_empty_window(cfg4):
-    p = Partition(start_ms=500.0, end_ms=500.0, side_a=frozenset({0}))
     with pytest.raises(ConfigError):
-        FaultPlan(partitions=(p,)).validate(cfg4)
+        Partition(start_ms=500.0, end_ms=500.0, side_a=frozenset({0}))
 
 
 @pytest.mark.parametrize("protocol", ["posn", "pob", "por"])
@@ -140,12 +141,12 @@ def test_sim_rejects_non_finite_inputs(cfg4, load, config):
 
 def test_load_profile_rejects_nonsense():
     with pytest.raises(ConfigError):
-        LoadProfile(arrival_rate=-1.0, duration_ms=100.0).validate()
+        LoadProfile(arrival_rate=-1.0, duration_ms=100.0)
     with pytest.raises(ConfigError):
-        LoadProfile(arrival_rate=10.0, duration_ms=0.0).validate()
+        LoadProfile(arrival_rate=10.0, duration_ms=0.0)
     with pytest.raises(ConfigError):
         LoadProfile(arrival_rate=10.0, duration_ms=100.0,
-                    value_min=10, value_max=5).validate()
+                    value_min=10, value_max=5)
 
 
 # --- honest runs ------------------------------------------------------------
@@ -640,3 +641,11 @@ def test_byzantine_strategy_exports_are_unchanged(tmp_path, strategy,
     assert all(type(node) is Node for node in sim.nodes)
     digests = _export_digests(sim.run(), str(tmp_path))
     assert digests == STRATEGY_DIGESTS[f"{strategy}-{protocol}"]
+
+
+def test_scheduled_transactions_carry_their_senders_signatures(cfg4):
+    sim = Sim(cfg4, FaultPlan(), _load(rate=50.0, ms=1000.0))
+    sim._schedule_load()
+    assert len(sim.schedule) > 20
+    for _, _, tx in sim.schedule:
+        assert sim.keys.check(tx.sender, tx.signing_bytes(), tx.signature)

@@ -4,11 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from posn.core import GENESIS_HASH, default_config
+from posn.core import GENESIS_HASH, ConfigError, default_config
 from posn.consensus import Keyring
 from posn.neuro import (
     NeuronState,
-    RateTooHigh,
     SlotSeed,
     first_spike_step,
     isi_for,
@@ -71,11 +70,15 @@ def test_rate_monotone_in_fee(cfg4):
 
 
 def test_rate_code_raises_on_saturated_probability(cfg4):
-    hot = replace(cfg4, r_max=1.5)
-    tx = make_tx(0, fee=10**9)  # fee component ~1 -> p ~ 1.5
-    seed = make_slot_seed(GENESIS_HASH, 0, [tx])
-    with pytest.raises(RateTooHigh):
-        spike_inputs([tx], seed, hot)
+    # the Bernoulli bound r_max*dt < 1 is a Config rule: a rate code that
+    # could saturate cannot be configured, and the highest allowed one
+    # stays below probability 1 at any fee
+    with pytest.raises(ConfigError, match=r"^r_max: "):
+        replace(cfg4, r_max=1.5)
+    edge = replace(cfg4, r_max=0.999)
+    tx = make_tx(0, fee=10**9)  # fee component ~1 -> p ~ r_max
+    probs, _, _ = spike_params([tx], edge)
+    assert 0.99 < probs.max() < 1.0
 
 
 def test_spike_params_are_shared_across_validators(cfg7, keys7):

@@ -115,8 +115,7 @@ def scenarios(draw):
                               crash_ms=crash), load, protocol)
 
 
-@settings(derandomize=True, max_examples=25, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow])
 @given(scenarios())
 def test_every_view_matches_the_nodes_chain_and_the_schedule(sim):
     seen = _recording(sim)
