@@ -246,9 +246,9 @@ def compute_fire_steps(validators: Sequence[ValidatorId],
             for vid in validators}
 
 
-# context computed once per (slot, parent, spike set); the harness passes
-# a memoized lookup since every honest node derives identical values.
-# fire_steps is None when the election replays no neurons (the baselines)
+# context computed once per (slot, parent, spike set), kept in that slot's
+# SlotView; fire_steps is None when the election replays no neurons (the
+# baselines)
 @dataclass(frozen=True)
 class SlotContext:
     fire_steps: Optional[dict[ValidatorId, Optional[int]]]
@@ -294,14 +294,12 @@ def _refuted_by_replay(block: Block, ctx: SlotContext) -> Optional[str]:
 
 def validate_proposal(block: Block, slot: int, parent_hash: bytes,
                       snapshot: Sequence[Transaction], cfg: Config,
-                      keys: Keyring,
-                      ctx: Optional[SlotContext] = None) -> Verdict:
+                      keys: Keyring, ctx: SlotContext) -> Verdict:
     """Replay-based acceptance, first failed check wins: signatures,
     parent link, spike replay, election, mempool ordering.
 
-    `ctx` is the slot's already-computed context, whose fire steps and
-    election the checks read; it is computed from the snapshot when
-    absent.
+    `ctx` is the slot's context, whose fire steps and election the
+    checks read; the block's txs must be `snapshot`'s selection.
     """
     bad = check_signatures(block, keys)
     if bad is not None:
@@ -311,10 +309,6 @@ def validate_proposal(block: Block, slot: int, parent_hash: bytes,
     if block.parent_hash != parent_hash:
         return Verdict.reject("ParentMismatch")
 
-    if ctx is None:
-        ctx = compute_slot_context(
-            slot, parent_hash, select_mempool(snapshot, cfg.spike_snapshot_cap),
-            cfg, keys)
     refuted = _refuted_by_replay(block, ctx)
     if refuted is not None:
         return Verdict.reject(refuted)
@@ -370,13 +364,12 @@ def distribute_rewards(block: Block, quorum: Sequence[Vote],
     return tuple(events)
 
 
-def verify_evidence(evidence: Evidence, cfg: Config, keys: Keyring,
-                    replay: Optional[ReplayFn] = None) -> None:
+def verify_evidence(evidence: Evidence, keys: Keyring,
+                    ctx: Optional[SlotContext] = None) -> None:
     """Raise InvalidEvidence unless the evidence is self-proving.
 
-    A forged spike is checked against the replay of its slot: `replay`
-    returns that slot's context (a node passes its memoized one), and
-    without it the context is computed from the evidence."""
+    A forged spike is checked against `ctx`, which the caller must pass:
+    the context of its (slot, parent, spike set)."""
     if isinstance(evidence, Equivocation):
         a, b = evidence.block_a, evidence.block_b
         if a.slot != b.slot or a.proposer != b.proposer:
@@ -397,11 +390,8 @@ def verify_evidence(evidence: Evidence, cfg: Config, keys: Keyring,
         if blk.proposer_signature is None or not keys.check(
                 blk.proposer.pk, blk.core_bytes(), blk.proposer_signature):
             raise InvalidEvidence("bad block signature")
-        if replay is None:
-            ctx = compute_slot_context(blk.slot, evidence.parent_hash,
-                                       evidence.spike_txs, cfg, keys)
-        else:
-            ctx = replay(blk.slot, evidence.parent_hash, evidence.spike_txs)
+        if ctx is None:
+            raise TypeError("forged-spike evidence needs its slot context")
         if _refuted_by_replay(blk, ctx) is None:
             raise InvalidEvidence("replay matches the claim")
         return
@@ -417,13 +407,13 @@ def evidence_key(evidence: Evidence) -> tuple[str, int, int]:
 
 
 def apply_penalty(chain: ChainState, evidence: Evidence, cfg: Config,
-                  keys: Keyring, replay: Optional[ReplayFn] = None
+                  keys: Keyring, ctx: Optional[SlotContext] = None
                   ) -> tuple[ChainState, tuple[RewardEvent, ...]]:
     """Penalize a proven offense: balance cut, burned by default or split
     across the other validators when cfg.penalty_redistribute is set.
     Idempotent per (offense, offender, slot); invalid evidence raises and
-    changes nothing. `replay` is passed on to `verify_evidence`."""
-    verify_evidence(evidence, cfg, keys, replay=replay)
+    changes nothing. `ctx` is passed on to `verify_evidence`."""
+    verify_evidence(evidence, keys, ctx)
     reason, offender, slot = evidence_key(evidence)
     for entry in chain.penalties_log:
         if (entry.reason, entry.validator, entry.slot) == (reason, offender, slot):
@@ -524,10 +514,10 @@ class Node:
     proposal through the same path as everyone else. This class is
     always the honest protocol: the harness applies a Byzantine strategy
     as a filter on the batches a node returns. A node keeps no mempool:
-    `view` gives the slot's `SlotView` for the node's chain tip, shared
-    by every node on that tip; `replay` gives the protocol's slot context
-    (its election) for evidence; `protocol` picks only the proposal's
-    send time.
+    `view` gives the slot's `SlotView` (with its context) for the node's
+    chain tip, shared by every node on that tip; `replay` serves only
+    evidence found after the tip moved mid-slot; `protocol` picks only
+    the proposal's send time.
     """
 
     def __init__(self, index: int, keys: Keyring, cfg: Config,
@@ -544,9 +534,9 @@ class Node:
         self.slot_records: list[dict] = []
         # every distinct proposal this node validated, with its verdict
         self.proposal_log: list[dict] = []
-        # (parent_hash, spike_txs) for recent slots; forged-spike evidence
-        # is honored only when it matches this local view
-        self.slot_history: dict[int, tuple[bytes, tuple[Transaction, ...]]] = {}
+        # (tip, spike set, context) each recent slot began with; not the
+        # view, so that no pool outlives the harness's views
+        self.slot_history: dict[int, tuple] = {}
         self.evidence_seen: set[tuple[str, int, int]] = set()
         self.finalize_seen: set[tuple[int, bytes]] = set()
         self.pending_finalize: dict[bytes, tuple[Block, tuple[Vote, ...]]] = {}
@@ -559,7 +549,8 @@ class Node:
     def begin_slot(self, slot: int, now: float) -> list[Outgoing]:
         view = self._view(slot, self.chain)
         self.slot = _SlotState(slot=slot, started_ms=now, view=view)
-        self.slot_history[slot] = (self.chain.tip_hash, view.spike_txs)
+        self.slot_history[slot] = (self.chain.tip_hash, view.spike_txs,
+                                   view.ctx)
         for old in [s for s in self.slot_history if s < slot - 3]:
             del self.slot_history[old]
         election = view.ctx.election
@@ -657,12 +648,13 @@ class Node:
                 out.extend(self._append(now, block, tuple(bucket)))
         return out
 
-    def _matches_local_view(self, evidence: Evidence) -> bool:
-        if isinstance(evidence, Equivocation):
-            return True
-        stored = self.slot_history.get(evidence.block.slot)
-        return stored is not None and stored == (evidence.parent_hash,
-                                                 evidence.spike_txs)
+    def _began_with(self, evidence: ForgedSpike) -> Optional[SlotContext]:
+        """The context this node began the evidence's slot with, if on the
+        evidence's tip and spike set."""
+        tip, spike_txs, ctx = self.slot_history.get(evidence.block.slot,
+                                                    (None,) * 3)
+        same = (tip, spike_txs) == (evidence.parent_hash, evidence.spike_txs)
+        return ctx if same else None
 
     def _found_evidence(self, now: float,
                         evidence: Evidence) -> list[Outgoing]:
@@ -671,7 +663,9 @@ class Node:
         return [Outgoing(send_at=now, payload=EvidenceMsg(evidence))]
 
     def _on_evidence(self, evidence: Evidence) -> list[Outgoing]:
-        if self._matches_local_view(evidence):
+        # a forged spike counts only on the tip and spike set this node
+        # began the slot with (a context is never falsy)
+        if isinstance(evidence, Equivocation) or self._began_with(evidence):
             self._penalize(evidence)
         return []
 
@@ -681,9 +675,16 @@ class Node:
         if key in self.evidence_seen:
             return False
         self.evidence_seen.add(key)
+        ctx = None
+        if isinstance(evidence, ForgedSpike):
+            # no stored context only for evidence this node found after a
+            # finalization moved its tip mid-slot: replay the new tip with
+            # the old spike set. ROADMAP item 3 deletes this branch
+            ctx = self._began_with(evidence) or self._replay(
+                evidence.block.slot, evidence.parent_hash, evidence.spike_txs)
         try:
             self.chain, _ = apply_penalty(self.chain, evidence, self.cfg,
-                                          self.keys, replay=self._replay)
+                                          self.keys, ctx)
         except InvalidEvidence:
             return False
         return True

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import PosnError, dumps_canonical
+from .core import (ConfigError, PosnError, check_type, dumps_canonical,
+                   require)
 
 
 class NoFinalizedTx(PosnError):
@@ -163,8 +164,16 @@ def conflicting_finalizations(log: RunLog) -> list[int]:
 # export
 # ---------------------------------------------------------------------------
 
-SLOT_COLUMNS = ["slot", "outcome", "leader", "fire_step", "tie_size",
-                "vrf_used", "quorum_size", "n_block_txs", "finalize_ms"]
+# per runlog record type, each field export writes and its type
+RECORD_FIELDS = {
+    "slot": {"slot": int, "outcome": str, "leader": Optional[int],
+             "fire_step": Optional[int], "tie_size": int, "vrf_used": bool,
+             "quorum_size": int, "n_block_txs": int,
+             "finalize_ms": Optional[float]},
+    "tx": {"id": str, "submit_ms": float, "finalize_ms": Optional[float]},
+    "penalty": {"validator": int, "slot": int, "amount": int, "reason": str},
+}
+SLOT_COLUMNS = list(RECORD_FIELDS["slot"])
 TX_COLUMNS = ["id", "submit_ms", "finalize_ms", "latency_ms"]
 # the RunLog fields in the summary and in the runlog's meta record
 META_FIELDS = ("protocol", "master_seed", "duration_ms", "observer", "config",
@@ -229,9 +238,9 @@ def export(stats: SummaryStats, log: RunLog, path_prefix: str) -> list[str]:
 def load_runlog(path: str) -> RunLog:
     """Rebuild a RunLog from its JSON-lines export (inverse of the
     runlog part of `export`; per-node balances are not exported and come
-    back empty here). A malformed record raises IoFailure naming the file
-    and the line."""
-    meta, chains, records = None, {}, {"slot": [], "tx": [], "penalty": []}
+    back empty here). A malformed record, or one whose fields are not
+    `RECORD_FIELDS`, raises IoFailure naming the file and the line."""
+    meta, chains, records = None, {}, {kind: [] for kind in RECORD_FIELDS}
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -244,7 +253,13 @@ def load_runlog(path: str) -> RunLog:
                     elif kind == "chain":
                         chains[int(rec["node"])] = rec["blocks"]
                     elif kind in records:
+                        for name, tp in RECORD_FIELDS[kind].items():
+                            field_at = f"the {kind} record's {name}"
+                            require(name in rec, field_at, "missing")
+                            check_type(rec[name], tp, field_at)
                         records[kind].append(rec)
+                except ConfigError as exc:
+                    raise IoFailure(f"{where}: {exc}") from None
                 except (ValueError, KeyError, TypeError, AttributeError) as exc:
                     raise IoFailure(f"{where}: not a runlog record ({exc!r})"
                                     ) from None

@@ -1,17 +1,21 @@
 """Deterministic discrete-event network harness.
 
-Single-threaded event loop over a (deliver_at, seq) priority queue; all
-randomness comes from counter-based streams keyed by purpose strings, so
-every run is a pure function of (Config, FaultPlan, LoadProfile,
-protocol). Models: partially synchronous delays (bounded by delta after
-GST, 10x that before), partitions that hold cross-cut traffic until
-heal, node crashes, and the five Byzantine strategies as filters that
-`Sim` applies to the batches an otherwise honest node returns. Client
-transactions are not messages: the load is one schedule of signed txs,
-each eligible once every validator would hold it. The pending pool is a
-function of the slot and the chain tip, so `Sim` builds it once per
-(slot, tip), from the pool of the nearest ancestor tip one slot earlier,
-and every node on that tip reads the same `SlotView`.
+Single-threaded: a (deliver_at, seq) priority queue holds only messages
+in flight, and slot boundaries and heals run from the loop's own clock.
+At a shared instant every live node's end_slot runs, then every
+begin_slot (each in index order), then the heal, then the messages due.
+All randomness comes from counter-based streams keyed by purpose
+strings, so every run is a pure function of (Config, FaultPlan,
+LoadProfile, protocol). Models: partially synchronous delays (bounded
+by delta after GST, 10x that before), partitions that hold cross-cut
+traffic until heal, node crashes, and the five Byzantine strategies as
+filters that `Sim` applies to the batches an otherwise honest node
+returns. Client transactions are not messages: the load is one schedule
+of signed txs, each eligible once every validator would hold it. The
+pending pool is a function of the slot and the chain tip, so `Sim`
+builds it once per (slot, tip), from the pool of the nearest ancestor
+tip one slot earlier, and every node on that tip reads the same
+`SlotView`, with the only slot context computed for that (slot, tip).
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ def check_inputs(cfg: Config, plan: FaultPlan, load: LoadProfile,
                "pob_scores")
     slot_ms = cfg.slot_ms(protocol)
     require(load.duration_ms // slot_ms >= 1, "duration_ms",
-            f"{load.duration_ms} is shorter than one {protocol} slot "
+            f"{load.duration_ms} ms is shorter than one {protocol} slot "
             f"({slot_ms} ms)")
     require(len(plan.byzantine) <= cfg.f_max, "byzantine",
             f"{len(plan.byzantine)} Byzantine validators > f_max {cfg.f_max}")
@@ -119,6 +123,8 @@ def sample_delay(now_ms: float, stream: Stream, cfg: Config,
     [1, 10*delta] before."""
     return 1 + stream.at(seq) % int(delay_bound(now_ms, cfg))
 
+
+END, BEGIN, HEAL = range(3)  # the loop's clock runs them in this order
 
 # msg_counters name per payload type, built once
 _SENT_NAME = {cls: f"sent_{cls.__name__}" for cls in get_args(Payload)}
@@ -244,15 +250,11 @@ class Sim:
         self.slot_ms = cfg.slot_ms(protocol)
         self.n_slots = int(load.duration_ms // self.slot_ms)
 
-        # (slot, parent) -> [(spike set, context)]; spike sets are compared,
-        # not hashed: hashing 256 transactions costs more than a replay lookup
-        self._ctx_memo: dict[tuple[int, bytes], list[tuple]] = {}
         # (slot, tip) -> the view of every node that began the slot there
         self._views: dict[tuple[int, bytes], SlotView] = {}
-        self._slot = -1  # the slot whose first begin event was dispatched
         scores = None if pob_scores is None else {
             self.keys.validator(i): s for i, s in pob_scores.items()}
-        # the protocol's slot context, memoized by _memo_replay; posn's
+        # the protocol's slot context, computed once per view; posn's
         # reads the global compute_slot_context per call: tracers rebind it
         if protocol == "posn":
             self._context = lambda slot, parent_hash, spike_txs: \
@@ -263,14 +265,13 @@ class Sim:
                                                    scores=scores)
         self.schedule: list[tuple[float, int, Transaction]] = []
         self.nodes = [Node(i, self.keys, cfg, protocol=protocol,
-                           replay=self._memo_replay, view=self._view)
+                           replay=self._context, view=self._view)
                       for i in range(cfg.n_validators)]
         # Byzantine index -> the outbound batches DelayMax holds this slot
         self._delayed: dict[int, list[Outgoing]] = {
             i: [] for i in fault_plan.byzantine}
 
-        # (deliver_at, seq, kind, node, slot, payload); kind is one of
-        # begin | end | msg | heal, and (deliver_at, seq) is unique
+        # messages in flight, (deliver_at, seq, to, payload); seq is unique
         self.heap: list[tuple] = []
         self._seq = 0
         # edge (frm, to) -> [delay stream, messages sent on it so far]
@@ -281,18 +282,6 @@ class Sim:
         self._tx_index: dict[bytes, int] = {}
 
     # -- deterministic plumbing -------------------------------------------
-
-    def _memo_replay(self, slot, parent_hash, spike_txs):
-        """The slot context, computed once per (slot, parent, spike set).
-        Nodes on one tip pass the same spike tuple, so identity is tested
-        first; evidence carries a tuple that is equal at best."""
-        entries = self._ctx_memo.setdefault((slot, parent_hash), [])
-        for seen, ctx in entries:
-            if seen is spike_txs or seen == spike_txs:
-                return ctx
-        ctx = self._context(slot, parent_hash, spike_txs)
-        entries.append((spike_txs, ctx))
-        return ctx
 
     def _view(self, slot: int, chain: ChainState) -> SlotView:
         """The view of every node that begins `slot` on `chain`'s tip:
@@ -321,7 +310,7 @@ class Sim:
         view = self._views[key] = SlotView(
             pool=pool, spike_txs=spike_txs,
             block_txs=pool[:self.cfg.max_block_txs],
-            ctx=self._memo_replay(slot, chain.tip_hash, spike_txs))
+            ctx=self._context(slot, chain.tip_hash, spike_txs))
         return view
 
     def _eligible_by(self, slot: int) -> int:
@@ -331,11 +320,6 @@ class Sim:
 
     def _count(self, name: str, n: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n
-
-    def _push(self, at: float, kind: str, node: int = -1, slot: int = -1,
-              payload: Optional[Payload] = None) -> None:
-        heapq.heappush(self.heap, (at, self._seq, kind, node, slot, payload))
-        self._seq += 1
 
     def _crashed(self, i: int, now: float) -> bool:
         t = self.plan.crash_ms.get(i)
@@ -367,7 +351,7 @@ class Sim:
                 deliver = send_at + sample_delay(send_at, edge[0], cfg,
                                                  edge[1])
                 edge[1] += 1
-            heapq.heappush(heap, (deliver, seq, "msg", to, -1, payload))
+            heapq.heappush(heap, (deliver, seq, to, payload))
             seq += 1
             sent += 1
         self._seq = seq
@@ -376,7 +360,13 @@ class Sim:
         if held:
             self._count("held_partition", held)
 
-    def _ship(self, frm: int, outgoing: list[Outgoing], now: float) -> None:
+    def _ship(self, frm: int, outgoing: list[Outgoing], hook: str,
+              now: float) -> None:
+        """Send node frm's batch from `hook`, through its strategy if any."""
+        strategy = self.plan.byzantine.get(frm)
+        if strategy is not None:
+            outgoing = apply_strategy(strategy, self.nodes[frm],
+                                      self._delayed[frm], outgoing, hook)
         everyone = range(self.cfg.n_validators)
         for o in outgoing:
             self._send(frm, everyone if o.dest is None else (o.dest,),
@@ -433,68 +423,51 @@ class Sim:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> RunLog:
-        for slot in range(self.n_slots):
-            t = slot * self.slot_ms
-            if slot > 0:
-                for i in range(self.cfg.n_validators):
-                    self._push(t, "end", node=i, slot=slot - 1)
-            for i in range(self.cfg.n_validators):
-                self._push(t, "begin", node=i, slot=slot)
-        final = self.n_slots * self.slot_ms
-        for i in range(self.cfg.n_validators):
-            self._push(final, "end", node=i, slot=self.n_slots - 1)
-        for p in self.plan.partitions:
-            self._push(p.end_ms, "heal")
         self._schedule_load()
-
-        heap, duration = self.heap, self.load.duration_ms
-        while heap:
-            at, _, kind, node, slot, payload = heapq.heappop(heap)
-            if at > duration:
-                break
-            self._dispatch(at, kind, node, slot, payload)
-        return self._collect()
-
-    def _dispatch(self, now: float, kind: str, node_i: int, slot: int,
-                  payload: Optional[Payload]) -> None:
-        if kind == "heal":
-            self._heal(now)
-            return
-        if self._crashed(node_i, now):
-            self._count("dropped_crashed")
-            return
-        node = self.nodes[node_i]
-        if kind == "begin":
-            if slot != self._slot:
-                self._slot = slot
-                self._prune_memo(slot)
+        duration = self.load.duration_ms
+        ms, n_slots = self.slot_ms, self.n_slots
+        clock = sorted([(s * ms, END, s - 1) for s in range(1, n_slots + 1)]
+                       + [(s * ms, BEGIN, s) for s in range(n_slots)]
+                       + [(p.end_ms, HEAL, -1) for p in self.plan.partitions
+                          if p.end_ms <= duration])
+        for at, step, slot in clock:
+            self._deliver_before(at)
+            if step == HEAL:
+                self._heal(at)
+                continue
+            if step == BEGIN:
+                self.keys.rotate()
                 self._views = {k: v for k, v in self._views.items()
                                if k[0] == slot - 1}
-                self.keys.rotate()
-            out = node.begin_slot(slot, now)
-        elif kind == "end":
-            out = node.end_slot(slot, now)
-        else:
-            if _stale(node, payload):
+            for i, node in enumerate(self.nodes):
+                if self._crashed(i, at):
+                    self._count("dropped_crashed")
+                elif step == BEGIN:
+                    self._ship(i, node.begin_slot(slot, at), "begin", at)
+                else:
+                    self._ship(i, node.end_slot(slot, at), "end", at)
+        self._deliver_before(math.nextafter(duration, math.inf))
+        return self._collect()
+
+    def _deliver_before(self, until: float) -> None:
+        """Deliver every message due before `until`, and those they send,
+        in (deliver_at, seq) order."""
+        heap = self.heap
+        while heap and heap[0][0] < until:
+            now, _, to, payload = heapq.heappop(heap)
+            node = self.nodes[to]
+            if self._crashed(to, now):
+                self._count("dropped_crashed")
+            elif _stale(node, payload):
                 self._count("dropped_stale")
-                return
-            out = node.on_message(now, payload)
-        strategy = self.plan.byzantine.get(node_i)
-        if strategy is not None:
-            out = apply_strategy(strategy, node, self._delayed[node_i], out,
-                                 kind)
-        self._ship(node_i, out, now)
+            else:
+                self._ship(to, node.on_message(now, payload), "msg", now)
 
     def _heal(self, now: float) -> None:
         """Re-send everything held by partitions that just ended."""
         for cut in [c for c in list(self._held) if c.end_ms <= now]:
             for frm, to, payload in self._held.pop(cut):
                 self._send(frm, (to,), now, payload)
-
-    def _prune_memo(self, slot: int) -> None:
-        if len(self._ctx_memo) > 8 * max(1, self.cfg.n_validators):
-            for key in [k for k in self._ctx_memo if k[0] < slot - 1]:
-                del self._ctx_memo[key]
 
     # -- results -----------------------------------------------------------
 

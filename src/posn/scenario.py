@@ -2,10 +2,11 @@
 
 `build_scenario` is the one parse step: it turns the tree into `Config`,
 `LoadProfile`, `Partition` and `FaultPlan` values, which check their own
-fields (`Sim` checks the rules that span them). Times and rates read as
-floats; config values stay as written. An error is a `ConfigError` at
-its key path, as in ``faults.byzantine[0].strategy: missing``; unknown
-keys are errors too. README "Scenario files" lists every key and default.
+fields, then checks the rules that span them (`netsim.check_inputs`).
+Times and rates read as floats; config values stay as written. An error
+is a `ConfigError` at its key path, as in ``faults.crash[9]: …``;
+unknown keys are errors too. README "Scenario files" lists every key
+and default.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import yaml
 
 from .core import Config, ConfigError, check_type, default_config, require
 from .metrics import RunLog
-from .netsim import FaultPlan, LoadProfile, Partition, Protocol, Strategy, run
+from .netsim import (FaultPlan, LoadProfile, Partition, Protocol, Strategy,
+                     check_inputs, run)
 
 _TOP_KEYS = {"protocol", "seed", "duration_s", "duration_ms", "validators",
              "config", "load", "faults", "pob_scores", "name"}
@@ -140,10 +142,15 @@ def build_scenario(spec: dict, *, seed: Optional[int] = None,
                      tuple(partitions),
                      _indexed(faults, "crash", "at_ms", float))
 
-    return Scenario(name=_get(spec, "", "name", str, "scenario"),
-                    protocol=_get(spec, "", "protocol", Protocol, "posn"),
-                    cfg=cfg, fault_plan=plan, load=load,
-                    pob_scores=spec.get("pob_scores"))
+    name = _get(spec, "", "name", str, "scenario")
+    protocol = _get(spec, "", "protocol", Protocol, "posn")
+    pob_scores = spec.get("pob_scores")
+    _build(check_inputs, "",
+           {"crash_ms": "faults.crash", "byzantine": "faults.byzantine",
+            "duration_ms": duration},
+           cfg=cfg, plan=plan, load=load, protocol=protocol,
+           pob_scores=pob_scores)
+    return Scenario(name, protocol, cfg, plan, load, pob_scores)
 
 
 def read_yaml(source, path: str):

@@ -125,15 +125,14 @@ def test_baseline_context_judges_proposals_and_evidence(keys8):
                            replace(ctx.election, leader=vid), cfg)
               for vid in (leader, other)}
     assert validate_proposal(blocks[leader], 4, GENESIS_HASH, (), cfg, keys8,
-                             ctx=ctx).accepted
+                             ctx).accepted
     verdict = validate_proposal(blocks[other], 4, GENESIS_HASH, (), cfg,
-                                keys8, ctx=ctx)
+                                keys8, ctx)
     assert verdict.reason == "NotElected"
     with pytest.raises(InvalidEvidence):
-        verify_evidence(ForgedSpike(blocks[leader], (), GENESIS_HASH), cfg,
-                        keys8, replay=replay)
-    verify_evidence(ForgedSpike(blocks[other], (), GENESIS_HASH), cfg, keys8,
-                    replay=replay)
+        verify_evidence(ForgedSpike(blocks[leader], (), GENESIS_HASH), keys8,
+                        ctx)
+    verify_evidence(ForgedSpike(blocks[other], (), GENESIS_HASH), keys8, ctx)
 
 
 def test_make_elector_unknown_protocol(keys8):

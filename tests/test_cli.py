@@ -126,6 +126,13 @@ def test_report_matches_export(tmp_path, capsys):
     ("pob_scores: [1, 2]", "pob_scores"),
     ("pob_scores: {0: .nan, 1: 1}", "pob_scores[0]"),
     ("pob_scores: {0: 0, 1: 0, 2: 0, 3: 0}", "pob_scores"),
+    # the rules that span inputs name the scenario key too
+    ("faults: {crash: {9: 100}}", "faults.crash[9]"),
+    ("faults: {byzantine: [{index: 4, strategy: Silent}]}",
+     "faults.byzantine[4]"),
+    ("faults: {byzantine: {0: Silent, 1: Silent}}", "faults.byzantine"),
+    ("{protocol: pob, duration_ms: 300}", "duration_ms"),
+    ("duration_s: 0.2", "duration_s"),
     ("- 1", "scenario"),
 ])
 def test_run_bad_scenario_exits_2_with_key_path(tmp_path, capsys, scenario,
@@ -177,6 +184,19 @@ def test_sweep_bad_list_exits_2_before_any_run(tmp_path, capsys, flags):
     assert captured.out == ""
 
 
+def test_sweep_rejects_a_cell_before_the_first_run(tmp_path, capsys):
+    # 0.4 s holds posn slots but not one 451 ms pob slot
+    rc = main(["sweep", "--protocols", "posn,pob", "--validators", "4",
+               "--seeds", "1", "--duration-s", "0.4", "--out-dir",
+               str(tmp_path / "sweep")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: duration_s: 400.0 ms is shorter "
+                                   "than one pob slot")
+    assert captured.out == ""
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_sweep_exit_statuses(tmp_path, capsys, monkeypatch):
     args = ["sweep", "--protocols", "por", "--validators", "4", "--seeds",
             "1", "--duration-s", "2", "--out-dir", str(tmp_path)]
@@ -218,3 +238,36 @@ def test_report_exit_statuses(tmp_path, capsys):
     assert main(["report", str(no_protocol)]) == 2
     assert capsys.readouterr().err == (
         f"error: {no_protocol}, line 1: the meta record lacks 'protocol'\n")
+
+
+_DROPPED = object()
+
+
+@pytest.mark.parametrize("kind,field,value,problem", [
+    ("slot", "outcome", _DROPPED, "the slot record's outcome: missing"),
+    ("slot", "leader", "6", "the slot record's leader: must be int"),
+    ("slot", "slot", 2.5, "the slot record's slot: must be int"),
+    ("tx", "finalize_ms", "soon",
+     "the tx record's finalize_ms: must be a number"),
+    ("tx", "submit_ms", None, "the tx record's submit_ms: must be a number"),
+    ("tx", "id", _DROPPED, "the tx record's id: missing"),
+], ids=["no-outcome", "str-leader", "float-slot", "str-finalize",
+        "null-submit", "no-id"])
+def test_report_bad_record_exits_2(tmp_path, capsys, kind, field, value,
+                                   problem):
+    lines = _runlog_lines(tmp_path)
+    at = next(i for i, line in enumerate(lines)
+              if json.loads(line)["type"] == kind)
+    rec = json.loads(lines[at])
+    if value is _DROPPED:
+        del rec[field]
+    else:
+        rec[field] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines[:at] + [json.dumps(rec)]
+                             + lines[at + 1:]) + "\n")
+    capsys.readouterr()
+    assert main(["report", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}, line {at + 1}: {problem}"), err
+    assert "Traceback" not in err

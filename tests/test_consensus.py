@@ -99,6 +99,13 @@ def _slot_pieces(cfg, keys, txs, slot=0, parent=GENESIS_HASH):
     return spike_txs, seed, election
 
 
+def _ctx(cfg, keys, mempool, slot=0, parent=GENESIS_HASH):
+    """The context of the slot whose pending pool is `mempool`."""
+    return compute_slot_context(
+        slot, parent, select_mempool(mempool, cfg.spike_snapshot_cap), cfg,
+        keys)
+
+
 def _heavier(txs, keys):
     # bulk the load up until somebody fires
     extra = 0
@@ -134,7 +141,8 @@ def test_propose_then_validate_accepts(cfg4, keys4, txs):
     assert block.txs == select_mempool(mempool, cfg4.max_block_txs)
     assert block.claimed_fire_step == election.fire_step
     assert (block.vrf_output is not None) == election.vrf_used
-    verdict = validate_proposal(block, 0, GENESIS_HASH, mempool, cfg4, keys4)
+    verdict = validate_proposal(block, 0, GENESIS_HASH, mempool, cfg4, keys4,
+                                _ctx(cfg4, keys4, mempool))
     assert verdict.accepted, verdict.reason
 
 
@@ -150,7 +158,8 @@ def accepted_block(cfg4, keys4, txs):
 def test_validate_rejects_bad_block_signature(cfg4, keys4, accepted_block):
     mempool, block, _ = accepted_block
     forged = replace(block, proposer_signature=crypto.sign(keys4.sk(0), b"no"))
-    verdict = validate_proposal(forged, 0, GENESIS_HASH, mempool, cfg4, keys4)
+    verdict = validate_proposal(forged, 0, GENESIS_HASH, mempool, cfg4, keys4,
+                                _ctx(cfg4, keys4, mempool))
     assert verdict.reason == "BadBlockSignature"
 
 
@@ -158,7 +167,8 @@ def test_validate_rejects_unknown_proposer(cfg4, keys4, accepted_block):
     mempool, block, _ = accepted_block
     stranger = replace(block.proposer, index=99)
     forged = replace(block, proposer=stranger)
-    verdict = validate_proposal(forged, 0, GENESIS_HASH, mempool, cfg4, keys4)
+    verdict = validate_proposal(forged, 0, GENESIS_HASH, mempool, cfg4, keys4,
+                                _ctx(cfg4, keys4, mempool))
     assert verdict.reason == "UnknownProposer"
 
 
@@ -169,19 +179,22 @@ def test_validate_rejects_tampered_tx(cfg4, keys4, accepted_block):
     forged = replace(block, txs=tuple(txs))
     sig = crypto.sign(keys4.sk(block.proposer.index), forged.core_bytes())
     forged = replace(forged, proposer_signature=sig)
-    verdict = validate_proposal(forged, 0, GENESIS_HASH, mempool, cfg4, keys4)
+    verdict = validate_proposal(forged, 0, GENESIS_HASH, mempool, cfg4, keys4,
+                                _ctx(cfg4, keys4, mempool))
     assert verdict.reason == "BadTxSignature"
 
 
 def test_validate_rejects_wrong_slot(cfg4, keys4, accepted_block):
     mempool, block, _ = accepted_block
-    verdict = validate_proposal(block, 1, GENESIS_HASH, mempool, cfg4, keys4)
+    verdict = validate_proposal(block, 1, GENESIS_HASH, mempool, cfg4, keys4,
+                                _ctx(cfg4, keys4, mempool, 1))
     assert verdict.reason == "WrongSlot"
 
 
 def test_validate_rejects_wrong_parent(cfg4, keys4, accepted_block):
     mempool, block, _ = accepted_block
-    verdict = validate_proposal(block, 0, b"\x05" * 32, mempool, cfg4, keys4)
+    verdict = validate_proposal(block, 0, b"\x05" * 32, mempool, cfg4, keys4,
+                                _ctx(cfg4, keys4, mempool, 0, b"\x05" * 32))
     assert verdict.reason == "ParentMismatch"
 
 
@@ -190,7 +203,8 @@ def test_validate_rejects_wrong_claimed_step(cfg4, keys4, accepted_block):
     lied = replace(block, claimed_fire_step=block.claimed_fire_step + 1)
     sig = crypto.sign(keys4.sk(block.proposer.index), lied.core_bytes())
     lied = replace(lied, proposer_signature=sig)
-    verdict = validate_proposal(lied, 0, GENESIS_HASH, mempool, cfg4, keys4)
+    verdict = validate_proposal(lied, 0, GENESIS_HASH, mempool, cfg4, keys4,
+                                _ctx(cfg4, keys4, mempool))
     assert verdict.reason == "SpikeMismatch"
 
 
@@ -205,7 +219,8 @@ def test_validate_rejects_non_winner(cfg4, keys4, accepted_block):
                      claimed_fire_step=steps[other], vrf_output=None)
     sig = crypto.sign(keys4.sk(other.index), stolen.core_bytes())
     stolen = replace(stolen, proposer_signature=sig)
-    verdict = validate_proposal(stolen, 0, GENESIS_HASH, mempool, cfg4, keys4)
+    verdict = validate_proposal(stolen, 0, GENESIS_HASH, mempool, cfg4, keys4,
+                                _ctx(cfg4, keys4, mempool))
     assert verdict.reason == "NotElected"
 
 
@@ -221,7 +236,7 @@ def test_validate_rejects_missing_vrf_proof(cfg7, keys7, txs):
     sig = crypto.sign(keys7.sk(leader.index), stripped.core_bytes())
     stripped = replace(stripped, proposer_signature=sig)
     verdict = validate_proposal(stripped, 0, GENESIS_HASH, mempool,
-                                cfg7, keys7)
+                                cfg7, keys7, _ctx(cfg7, keys7, mempool))
     assert verdict.reason == "VrfMismatch"
 
 
@@ -230,7 +245,8 @@ def test_validate_rejects_wrong_tx_selection(cfg4, keys4, accepted_block):
     short = replace(block, txs=block.txs[:-1])
     sig = crypto.sign(keys4.sk(block.proposer.index), short.core_bytes())
     short = replace(short, proposer_signature=sig)
-    verdict = validate_proposal(short, 0, GENESIS_HASH, mempool, cfg4, keys4)
+    verdict = validate_proposal(short, 0, GENESIS_HASH, mempool, cfg4, keys4,
+                                _ctx(cfg4, keys4, mempool))
     assert verdict.reason == "MempoolMismatch"
 
 
@@ -240,7 +256,8 @@ def test_validate_check_order(cfg4, keys4, accepted_block):
     broken = replace(block, txs=block.txs[:-1])
     sig = crypto.sign(keys4.sk(block.proposer.index), broken.core_bytes())
     broken = replace(broken, proposer_signature=sig)
-    verdict = validate_proposal(broken, 3, GENESIS_HASH, mempool, cfg4, keys4)
+    verdict = validate_proposal(broken, 3, GENESIS_HASH, mempool, cfg4, keys4,
+                                _ctx(cfg4, keys4, mempool, 3))
     assert verdict.reason == "WrongSlot"
 
 
@@ -283,35 +300,30 @@ def _validation_cases(cfg, keys, mempool, block, election):
     ]
 
 
-def _assert_ctx_agrees(cfg, keys, mempool, cases, monkeypatch):
-    spike_txs = select_mempool(mempool, cfg.spike_snapshot_cap)
-    contexts = {(slot, parent): compute_slot_context(slot, parent, spike_txs,
-                                                     cfg, keys)
+def _assert_ctx_decides(cfg, keys, mempool, cases, monkeypatch):
+    contexts = {(slot, parent): _ctx(cfg, keys, mempool, slot, parent)
                 for _, _, slot, parent in cases}
-    plain = [validate_proposal(blk, slot, parent, mempool, cfg, keys)
-             for _, blk, slot, parent in cases]
-    assert [v.reason for v in plain] == [reason for reason, *_ in cases]
 
-    # with the slot context given, no neuron is replayed again
+    # the given slot context decides: no neuron is replayed again
     def no_replay(*args):
         raise AssertionError("first_spike_step called despite ctx")
 
     monkeypatch.setattr("posn.consensus.first_spike_step", no_replay)
-    with_ctx = [validate_proposal(blk, slot, parent, mempool, cfg, keys,
-                                  ctx=contexts[(slot, parent)])
+    verdicts = [validate_proposal(blk, slot, parent, mempool, cfg, keys,
+                                  contexts[(slot, parent)])
                 for _, blk, slot, parent in cases]
-    assert with_ctx == plain
+    assert [v.reason for v in verdicts] == [reason for reason, *_ in cases]
 
 
-def test_validate_with_and_without_ctx_agree(cfg4, keys4, accepted_block,
-                                             monkeypatch):
+def test_validate_judges_by_the_given_ctx(cfg4, keys4, accepted_block,
+                                          monkeypatch):
     mempool, block, election = accepted_block
     cases = _validation_cases(cfg4, keys4, mempool, block, election)
-    _assert_ctx_agrees(cfg4, keys4, mempool, cases, monkeypatch)
+    _assert_ctx_decides(cfg4, keys4, mempool, cases, monkeypatch)
 
 
-def test_validate_with_and_without_ctx_agree_on_vrf(cfg7, keys7, txs,
-                                                    monkeypatch):
+def test_validate_judges_by_the_given_ctx_on_vrf(cfg7, keys7, txs,
+                                                 monkeypatch):
     mempool, spike_txs, seed, election = _electable(cfg7, keys7, txs)
     if not election.vrf_used:
         pytest.skip("no tie in this draw")
@@ -321,7 +333,7 @@ def test_validate_with_and_without_ctx_agree_on_vrf(cfg7, keys7, txs,
     cases = [(None, block, 0, GENESIS_HASH),
              ("VrfMismatch", _resign(block, keys7, vrf_output=None), 0,
               GENESIS_HASH)]
-    _assert_ctx_agrees(cfg7, keys7, mempool, cases, monkeypatch)
+    _assert_ctx_decides(cfg7, keys7, mempool, cases, monkeypatch)
 
 
 # --- votes ------------------------------------------------------------------
@@ -416,21 +428,21 @@ def _two_blocks_same_slot(cfg, keys, txs):
 
 def test_equivocation_evidence_verifies(cfg4, keys4, txs):
     a, b = _two_blocks_same_slot(cfg4, keys4, txs)
-    verify_evidence(Equivocation(a, b), cfg4, keys4)
+    verify_evidence(Equivocation(a, b), keys4)
     assert evidence_key(Equivocation(a, b)) == ("equivocation", 2, 4)
 
 
 def test_equivocation_requires_distinct_blocks(cfg4, keys4, txs):
     a, _ = _two_blocks_same_slot(cfg4, keys4, txs)
     with pytest.raises(InvalidEvidence):
-        verify_evidence(Equivocation(a, a), cfg4, keys4)
+        verify_evidence(Equivocation(a, a), keys4)
 
 
 def test_equivocation_requires_real_signatures(cfg4, keys4, txs):
     a, b = _two_blocks_same_slot(cfg4, keys4, txs)
     fake = replace(b, proposer_signature=crypto.sign(keys4.sk(0), b"x"))
     with pytest.raises(InvalidEvidence):
-        verify_evidence(Equivocation(a, fake), cfg4, keys4)
+        verify_evidence(Equivocation(a, fake), keys4)
 
 
 def test_forged_spike_evidence_verifies(cfg4, keys4, txs):
@@ -444,8 +456,11 @@ def test_forged_spike_evidence_verifies(cfg4, keys4, txs):
                                    vrf_output=None)
     block = propose(liar, keys4.sk(3), 0, GENESIS_HASH, txs,
                     fake_election, cfg4)
-    verify_evidence(ForgedSpike(block, tuple(spike_txs), GENESIS_HASH),
-                    cfg4, keys4)
+    evidence = ForgedSpike(block, tuple(spike_txs), GENESIS_HASH)
+    verify_evidence(evidence, keys4, _ctx(cfg4, keys4, txs))
+    # the slot's context is the caller's to give
+    with pytest.raises(TypeError):
+        verify_evidence(evidence, keys4)
 
 
 def test_honest_block_is_not_forgery_evidence(cfg4, keys4, txs):
@@ -455,23 +470,24 @@ def test_honest_block_is_not_forgery_evidence(cfg4, keys4, txs):
                     mempool, election, cfg4)
     with pytest.raises(InvalidEvidence):
         verify_evidence(ForgedSpike(block, tuple(spike_txs), GENESIS_HASH),
-                        cfg4, keys4)
+                        keys4, _ctx(cfg4, keys4, mempool))
 
 
-def _evidence_verdicts(cfg, keys, cases, replay=None):
+def _evidence_verdicts(cfg, keys, cases, context_of):
     """Per case: whether verify_evidence accepts it, and what
-    apply_penalty makes of a fresh chain (None when it raises)."""
+    apply_penalty makes of a fresh chain (None when it raises), both
+    given the context `context_of(evidence)`."""
     out = []
     for _, evidence in cases:
+        ctx = context_of(evidence)
         try:
-            verify_evidence(evidence, cfg, keys, replay=replay)
+            verify_evidence(evidence, keys, ctx)
             verified = True
         except InvalidEvidence:
             verified = False
         chain = ChainState(balances={evidence.block.proposer.index: 500})
         try:
-            penalized = apply_penalty(chain, evidence, cfg, keys,
-                                      replay=replay)
+            penalized = apply_penalty(chain, evidence, cfg, keys, ctx)
         except InvalidEvidence:
             penalized = None
         out.append((verified, penalized))
@@ -479,27 +495,23 @@ def _evidence_verdicts(cfg, keys, cases, replay=None):
 
 
 def _assert_replay_agrees(cfg, keys, cases, monkeypatch):
-    plain = _evidence_verdicts(cfg, keys, cases)
+    def replayed(ev):
+        return compute_slot_context(ev.block.slot, ev.parent_hash,
+                                    ev.spike_txs, cfg, keys)
+
+    plain = _evidence_verdicts(cfg, keys, cases, replayed)
     assert [verified for verified, _ in plain] == [v for v, _ in cases]
     assert [p is not None for _, p in plain] == [v for v, _ in cases]
 
-    memo = {}
-    for _, ev in cases:
-        key = (ev.block.slot, ev.parent_hash, ev.spike_txs)
-        memo[key] = compute_slot_context(*key, cfg, keys)
-    looked_up = []
+    contexts = {id(ev): replayed(ev) for _, ev in cases}
 
-    def replay(slot, parent_hash, spike_txs):
-        looked_up.append(slot)
-        return memo[(slot, parent_hash, spike_txs)]
-
-    # with the slot's replay given, no neuron is replayed again
+    # with the slot's context computed beforehand, no neuron is replayed
     def no_replay(*args, **kwargs):
-        raise AssertionError("first_spike_step called despite replay")
+        raise AssertionError("first_spike_step called despite ctx")
 
     monkeypatch.setattr("posn.consensus.first_spike_step", no_replay)
-    assert _evidence_verdicts(cfg, keys, cases, replay=replay) == plain
-    assert len(looked_up) == 2 * len(cases)
+    assert _evidence_verdicts(cfg, keys, cases,
+                              lambda ev: contexts[id(ev)]) == plain
 
 
 def test_evidence_with_and_without_replay_agree(cfg4, keys4, accepted_block,

@@ -77,9 +77,10 @@ def test_traced_pass_is_exact_and_checks_each_signature_once(tmp_path):
 
 
 def test_traced_baseline_pass_is_exact_and_elects_once_per_slot(tmp_path):
-    # the baseline election is memoized per slot like posn's replay, and
-    # every proposal goes through the one validator; a captured
-    # por_elect or compute_slot_context fails here too
+    # the baseline election runs once per (slot, tip) view like posn's
+    # replay (one tip per slot here), and every proposal goes through the
+    # one validator; a captured por_elect or compute_slot_context fails
+    # here too
     with open(os.path.join(PERFBENCH, "digests.json")) as fh:
         expected = json.load(fh)["por-saturated-n8"]["0"]
     result = worker.run_pass("por-saturated-n8", 0, str(tmp_path),

@@ -1,5 +1,6 @@
 """The shared transaction pool: one per (slot, chain tip), built by `Sim`
-and read by every node on that tip, and the slot-context memo it feeds."""
+and read by every node on that tip, and the slot context each view holds,
+which the nodes judge evidence by."""
 
 import collections
 import random
@@ -10,14 +11,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import posn.netsim as netsim
-from posn.consensus import compute_slot_context
+from posn.consensus import EvidenceMsg, ForgedSpike, Proposal
 from posn.core import (GENESIS_HASH, Block, ChainState, Transaction,
                        default_config, select_mempool)
-from posn.crypto import Signature
+from posn.crypto import Signature, sign
 from posn.netsim import (STRATEGIES, FaultPlan, LoadProfile, Partition, Sim,
                          merge_pool)
-
-from conftest import make_tx
 
 
 def _order(tx):
@@ -179,33 +178,76 @@ def test_pools_are_built_once_per_slot_and_tip(monkeypatch):
     assert builds[16] == builds[4] == sim.n_slots
 
 
-# --- the slot-context memo --------------------------------------------------
+# --- each view's context is the one store of slot contexts -----------------
 
-def test_replay_memo_compares_spike_sets_by_value(monkeypatch, cfg4):
-    calls = collections.Counter()
-    real = netsim.compute_slot_context
+def _signed(sim, proposer, slot, parent_hash, txs, claimed_fire_step=0):
+    """A signed block by validator `proposer`."""
+    block = Block(slot=slot, proposer=sim.keys.validator(proposer),
+                  parent_hash=parent_hash, txs=txs,
+                  claimed_fire_step=claimed_fire_step, vrf_output=None)
+    return replace(block, proposer_signature=sign(
+        sim.keys.sk(proposer), block.core_bytes()))
 
-    def counting(*args):
-        calls["ctx"] += 1
-        return real(*args)
 
-    monkeypatch.setattr(netsim, "compute_slot_context", counting)
-    sim = Sim(cfg4, FaultPlan(), LoadProfile(10.0, 10 * cfg4.slot_ms()))
-    spike = tuple(make_tx(40 + i) for i in range(12))
-    first = sim._memo_replay(3, GENESIS_HASH, spike)
-    # an equal tuple of equal but distinct transactions, as evidence
-    # carries, hits the memo
-    copy = tuple(Transaction(**{f: getattr(tx, f)
-                                for f in tx.__dataclass_fields__})
-                 for tx in spike)
-    assert copy == spike and copy is not spike and copy[0] is not spike[0]
-    assert sim._memo_replay(3, GENESIS_HASH, copy) is first
-    assert calls["ctx"] == 1
-    # a different spike set for the same (slot, parent) gets its own
-    other = sim._memo_replay(3, GENESIS_HASH, spike[1:])
-    assert calls["ctx"] == 2 and other is not first
-    assert other == compute_slot_context(3, GENESIS_HASH, spike[1:], cfg4,
-                                         sim.keys)
-    assert sim._memo_replay(3, GENESIS_HASH, spike) is first
-    assert sim._memo_replay(3, GENESIS_HASH, spike[1:]) is other
-    assert calls["ctx"] == 2
+def test_nodes_judge_forged_spikes_by_the_context_their_slot_began_with(
+        monkeypatch, cfg4):
+    sim = Sim(cfg4, FaultPlan(), LoadProfile(250.0, 10 * cfg4.slot_ms()))
+    sim._schedule_load()
+    slot, now = 3, 3 * sim.slot_ms
+    for node in sim.nodes:
+        node.begin_slot(slot, now)
+    view = sim.nodes[0].slot.view
+    assert view.spike_txs
+    election = view.ctx.election
+    # a proposer the slot's election refutes
+    liar = next(i for i in range(4)
+                if election is None or i != election.leader.index)
+    forged = _signed(sim, liar, slot, GENESIS_HASH, view.block_txs)
+    replays = collections.Counter()
+    for node in sim.nodes:
+        def counting(*args, _node=node.index, _inner=node._replay):
+            replays[_node] += 1
+            return _inner(*args)
+        node._replay = counting
+
+    # the node's tip and an equal but distinct spike tuple: penalized by
+    # the stored context, with no neuron replayed
+    def no_replay(*args, **kwargs):
+        raise AssertionError("first_spike_step called despite a stored ctx")
+
+    with monkeypatch.context() as patched:
+        patched.setattr("posn.consensus.first_spike_step", no_replay)
+        copy = tuple(Transaction(**{f: getattr(tx, f)
+                                    for f in tx.__dataclass_fields__})
+                     for tx in view.spike_txs)
+        assert copy == view.spike_txs and copy[0] is not view.spike_txs[0]
+        sim.nodes[0].on_message(now, EvidenceMsg(
+            ForgedSpike(forged, copy, GENESIS_HASH)))
+        assert [(e.validator, e.slot, e.reason)
+                for e in sim.nodes[0].chain.penalties_log] == [
+            (liar, slot, "forged_spike")]
+
+        # another tip or another spike set: ignored, not even remembered
+        for evidence in (ForgedSpike(forged, view.spike_txs, b"\x07" * 32),
+                         ForgedSpike(forged, view.spike_txs[1:],
+                                     GENESIS_HASH)):
+            sim.nodes[1].on_message(now, EvidenceMsg(evidence))
+        assert sim.nodes[1].chain.penalties_log == ()
+        assert sim.nodes[1].evidence_seen == set()
+
+    # found after a finalization moved the node's tip mid-slot: the one
+    # replay, of (slot, current tip, old spike set), and only once
+    node = sim.nodes[2]
+    earlier = _signed(sim, 0, slot - 1, GENESIS_HASH, ())
+    node.chain = replace(node.chain, finalized=(earlier,))
+    on_new_tip = _signed(sim, liar, slot, node.chain.tip_hash,
+                         view.block_txs)
+    node.on_message(now, Proposal(on_new_tip))
+    assert node.proposal_log[-1]["reason"] in ("SpikeMismatch", "NotElected")
+    assert ("forged_spike", liar, slot) in node.evidence_seen
+    assert replays == {2: 1}
+    # a second forgery by the same proposer is already proven
+    node.on_message(now, Proposal(_signed(sim, liar, slot, node.chain.tip_hash,
+                                          view.block_txs, 1)))
+    assert node.proposal_log[-1]["reason"] in ("SpikeMismatch", "NotElected")
+    assert replays == {2: 1}
