@@ -7,7 +7,7 @@ from .core import (Block, ChainState, Config, ConfigError, GENESIS_HASH,
                    hash_block, select_mempool)
 from .consensus import (ElectionResult, Keyring, Node, elect_leader,
                         quorum_threshold, validate_proposal)
-from .neuro import SlotSeed, first_spike_step, lif_step, make_slot_seed
+from .neuro import SlotSeed, first_spike_step, make_slot_seed
 from .netsim import FaultPlan, LoadProfile, Partition, Sim, run
 from .metrics import RunLog, SummaryStats, export, summarize
 from .scenario import Scenario, build_scenario, load_scenario
@@ -20,7 +20,7 @@ __all__ = [
     "Partition", "PosnError", "RunLog", "Scenario", "Sim", "SlotSeed",
     "SummaryStats", "Transaction", "ValidatorId", "Vote", "build_scenario",
     "default_config", "elect_leader", "export", "first_spike_step",
-    "hash_block", "lif_step", "load_scenario", "make_slot_seed",
+    "hash_block", "load_scenario", "make_slot_seed",
     "quorum_threshold", "run", "select_mempool", "summarize",
     "validate_proposal",
 ]

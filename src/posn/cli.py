@@ -16,7 +16,8 @@ import os
 import sys
 
 from .core import PosnError, dumps_canonical
-from .metrics import export, load_runlog, summarize
+from .metrics import (conflicting_finalizations, export, load_runlog,
+                      summarize)
 from .scenario import build_scenario, load_scenario, read_yaml
 
 
@@ -102,10 +103,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
+    # a runlog's verdict is its recorded violations plus the safety audit
+    # re-run over the chains it records
     status = 0
     for path in args.runlogs:
         log = load_runlog(path)
-        if log.violations:
+        conflicts = conflicting_finalizations(log)
+        for slot in conflicts:
+            print(f"{path}: conflicting finalization in slot {slot}",
+                  file=sys.stderr)
+        if log.violations or conflicts:
             status = 1
         stats = summarize(log)
         print(dumps_canonical({"runlog": path, "protocol": log.protocol,

@@ -153,10 +153,7 @@ class Keyring:
         key = (pk, msg, sig.tag)
         if key in self._checked:
             return True
-        if key in self._older or crypto.verify(pk, msg, sig, store=self):
-            self._checked.add(key)
-            return True
-        return False
+        return self._verify(key, crypto.verify, pk, msg, sig)
 
     def check_vrf(self, pk: bytes, data: bytes,
                   out: crypto.VrfOutput) -> bool:
@@ -164,7 +161,13 @@ class Keyring:
         key = (pk, data, out)
         if key in self._checked:
             return True
-        if key in self._older or crypto.vrf_verify(pk, data, out, store=self):
+        return self._verify(key, crypto.vrf_verify, pk, data, out)
+
+    def _verify(self, key: tuple, verify: Callable[..., bool], *args) -> bool:
+        """Whether `key` verified in the older generation or
+        `verify(*args)` passes now; a pass joins this generation. The
+        callers test this generation first, as most checks hit there."""
+        if key in self._older or verify(*args, store=self):
             self._checked.add(key)
             return True
         return False
@@ -226,12 +229,20 @@ def propose(leader: ValidatorId, sk: bytes, slot: int, parent_hash: bytes,
 # validation
 # ---------------------------------------------------------------------------
 
-def check_signatures(block: Block, keys: Keyring) -> Optional[str]:
+def _proposer_fault(block: Block, keys: Keyring) -> Optional[str]:
+    """Why the block is not signed by a known validator, or None."""
     if not keys.known(block.proposer):
         return "UnknownProposer"
     if block.proposer_signature is None or not keys.check(
             block.proposer.pk, block.core_bytes(), block.proposer_signature):
         return "BadBlockSignature"
+    return None
+
+
+def check_signatures(block: Block, keys: Keyring) -> Optional[str]:
+    bad = _proposer_fault(block, keys)
+    if bad is not None:
+        return bad
     for tx in block.txs:
         if not keys.check(tx.sender, tx.signing_bytes(), tx.signature):
             return "BadTxSignature"
@@ -376,26 +387,21 @@ def verify_evidence(evidence: Evidence, keys: Keyring,
             raise InvalidEvidence("blocks differ in slot or proposer")
         if hash_block(a) == hash_block(b):
             raise InvalidEvidence("blocks are identical")
-        for blk in (a, b):
-            if not keys.known(blk.proposer):
-                raise InvalidEvidence("unknown proposer")
-            if blk.proposer_signature is None or not keys.check(
-                    blk.proposer.pk, blk.core_bytes(), blk.proposer_signature):
-                raise InvalidEvidence("bad block signature")
-        return
+        signed = (a, b)
+    elif isinstance(evidence, ForgedSpike):
+        signed = (evidence.block,)
+    else:
+        raise InvalidEvidence(
+            f"unknown evidence type {type(evidence).__name__}")
+    for blk in signed:
+        bad = _proposer_fault(blk, keys)
+        if bad is not None:
+            raise InvalidEvidence(bad)
     if isinstance(evidence, ForgedSpike):
-        blk = evidence.block
-        if not keys.known(blk.proposer):
-            raise InvalidEvidence("unknown proposer")
-        if blk.proposer_signature is None or not keys.check(
-                blk.proposer.pk, blk.core_bytes(), blk.proposer_signature):
-            raise InvalidEvidence("bad block signature")
         if ctx is None:
             raise TypeError("forged-spike evidence needs its slot context")
-        if _refuted_by_replay(blk, ctx) is None:
+        if _refuted_by_replay(evidence.block, ctx) is None:
             raise InvalidEvidence("replay matches the claim")
-        return
-    raise InvalidEvidence(f"unknown evidence type {type(evidence).__name__}")
 
 
 def evidence_key(evidence: Evidence) -> tuple[str, int, int]:
@@ -493,15 +499,15 @@ class _SlotState:
     started_ms: float = 0.0
     view: Optional[SlotView] = None
     proposals: dict[int, dict[bytes, Block]] = field(default_factory=dict)
-    relayed: set[bytes] = field(default_factory=set)
+    relayed: int = 0
     votes: dict[bytes, list[Vote]] = field(default_factory=dict)
     voted_indices: set[int] = field(default_factory=set)
-    own_vote_hash: Optional[bytes] = None
-    validated: dict[bytes, Verdict] = field(default_factory=dict)
+    voted: bool = False
+    # hashes of the proposals judged in this slot
+    validated: set[bytes] = field(default_factory=set)
     finalized: bool = False
     finalize_ms: Optional[float] = None
     quorum_size: int = 0
-    announced: bool = False
 
 
 class Node:
@@ -517,7 +523,9 @@ class Node:
     `view` gives the slot's `SlotView` (with its context) for the node's
     chain tip, shared by every node on that tip; `replay` serves only
     evidence found after the tip moved mid-slot; `protocol` picks only
-    the proposal's send time.
+    the proposal's send time. A node judges each distinct proposal once
+    per slot and keeps no verdict: a copy of a proposal it has judged
+    changes nothing, so it returns at once.
     """
 
     def __init__(self, index: int, keys: Keyring, cfg: Config,
@@ -532,8 +540,6 @@ class Node:
         self.chain = ChainState()
         self.slot = _SlotState()
         self.slot_records: list[dict] = []
-        # every distinct proposal this node validated, with its verdict
-        self.proposal_log: list[dict] = []
         # (tip, spike set, context) each recent slot began with; not the
         # view, so that no pool outlives the harness's views
         self.slot_history: dict[int, tuple] = {}
@@ -604,11 +610,13 @@ class Node:
     def _on_proposal(self, now: float, block: Block) -> list[Outgoing]:
         if block.slot != self.slot.slot:
             return []
-        out: list[Outgoing] = []
         block_hash = hash_block(block)
+        if block_hash in self.slot.validated:
+            return []
+        self.slot.validated.add(block_hash)
+        out: list[Outgoing] = []
         per_proposer = self.slot.proposals.setdefault(block.proposer.index, {})
-        first_sight = block_hash not in per_proposer
-        if first_sight and len(per_proposer) < 2:
+        if len(per_proposer) < 2:
             per_proposer[block_hash] = block
         if len(per_proposer) == 2:
             a, b = list(per_proposer.values())
@@ -616,36 +624,29 @@ class Node:
 
         # relay each distinct proposal once, so peers a selective sender
         # skipped still see it and equivocation becomes provable
-        if first_sight and block_hash not in self.slot.relayed \
-                and len(self.slot.relayed) < 4:
-            self.slot.relayed.add(block_hash)
+        if self.slot.relayed < 4:
+            self.slot.relayed += 1
             out.append(Outgoing(send_at=now, payload=Proposal(block)))
 
-        if block_hash not in self.slot.validated:
-            view = self.slot.view
-            verdict = validate_proposal(
-                block, self.slot.slot, self.chain.tip_hash, view.block_txs,
-                self.cfg, self.keys, ctx=view.ctx)
-            self.slot.validated[block_hash] = verdict
-            self.proposal_log.append({
-                "slot": block.slot, "proposer": block.proposer.index,
-                "accepted": verdict.accepted, "reason": verdict.reason,
-                "claimed_fire_step": block.claimed_fire_step})
-            if not verdict.accepted and verdict.reason in ("SpikeMismatch",
-                                                           "NotElected"):
-                out.extend(self._found_evidence(now, ForgedSpike(
-                    block=block, spike_txs=view.spike_txs,
-                    parent_hash=self.chain.tip_hash)))
-            if verdict.accepted and self.slot.own_vote_hash is None \
-                    and not self.slot.finalized:
-                vote = make_vote(self.me, self.sk, self.slot.slot, block_hash)
-                self.slot.own_vote_hash = block_hash
-                out.append(Outgoing(send_at=now, payload=VoteMsg(vote)))
-            # votes can outrun the proposal they refer to
-            bucket = self.slot.votes.get(block_hash, ())
-            if first_sight and not self.slot.finalized \
-                    and len(bucket) >= quorum_threshold(self.cfg.n_validators):
-                out.extend(self._append(now, block, tuple(bucket)))
+        view = self.slot.view
+        verdict = validate_proposal(
+            block, self.slot.slot, self.chain.tip_hash, view.block_txs,
+            self.cfg, self.keys, ctx=view.ctx)
+        if not verdict.accepted and verdict.reason in ("SpikeMismatch",
+                                                       "NotElected"):
+            out.extend(self._found_evidence(now, ForgedSpike(
+                block=block, spike_txs=view.spike_txs,
+                parent_hash=self.chain.tip_hash)))
+        if verdict.accepted and not self.slot.voted \
+                and not self.slot.finalized:
+            vote = make_vote(self.me, self.sk, self.slot.slot, block_hash)
+            self.slot.voted = True
+            out.append(Outgoing(send_at=now, payload=VoteMsg(vote)))
+        # votes can outrun the proposal they refer to
+        bucket = self.slot.votes.get(block_hash, ())
+        if not self.slot.finalized \
+                and len(bucket) >= quorum_threshold(self.cfg.n_validators):
+            out.extend(self._append(now, block, tuple(bucket)))
         return out
 
     def _began_with(self, evidence: ForgedSpike) -> Optional[SlotContext]:
@@ -717,13 +718,12 @@ class Node:
         self.block_final_ms[block.slot] = now
         out: list[Outgoing] = []
         if block.slot == self.slot.slot:
+            if not self.slot.finalized:
+                out.append(Outgoing(send_at=now,
+                                    payload=FinalizeMsg(block, votes)))
             self.slot.finalized = True
             self.slot.finalize_ms = now
             self.slot.quorum_size = len({v.voter.index for v in votes})
-            if not self.slot.announced:
-                self.slot.announced = True
-                out.append(Outgoing(send_at=now,
-                                    payload=FinalizeMsg(block, votes)))
         # a queued successor may now link up
         waiting = self.pending_finalize.pop(self.chain.tip_hash, None)
         if waiting is not None:

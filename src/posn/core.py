@@ -269,10 +269,11 @@ class Config:
     """Run parameters: validator set, neuron model, rewards, network.
 
     Neuron defaults follow the reference setting (leak 0.1/ms, threshold
-    1.0, reset 0, Poisson arrivals). `tau_steps` micro-steps of `dt_ms`
-    discretize one slot's spiking window; the slot period additionally
-    budgets two network round trips (see `slot_ms`). A Config checks its
-    own fields when it is built, so an invalid one cannot exist.
+    1.0, initial potential 0, Poisson arrivals). `tau_steps` micro-steps
+    of `dt_ms` discretize one slot's spiking window; the slot period
+    additionally budgets two network round trips (see `slot_ms`). A
+    Config checks its own fields when it is built, so an invalid one
+    cannot exist.
     """
     n_validators: AtLeast[int, 1]
     f_max: AtLeast[int, 0]
@@ -280,7 +281,7 @@ class Config:
     dt_ms: float = 1.0
     lam: float = 0.1            # leak constant, 1/ms
     theta: float = 1.0          # firing threshold
-    v_reset: float = 0.0
+    v_reset: float = 0.0        # initial potential of each race
     kappa: float = 1000.0       # temporal-coding scale
     epsilon_isi: float = 0.001  # division guard in the ISI formula
     r_min: AtLeast[float, 0] = 0.01  # spikes/ms at fee 0

@@ -6,11 +6,11 @@ and the leaky integrate-and-fire scan that yields first-spike times.
 with the splitmix64 finalizer, so any step's draw is addressable on its
 own (Salmon et al., SC 2011). It adds the weighted trains of each step
 sequentially in train index order, rate trains first, and runs the
-membrane recurrence V[t] = decay*V[t-1] + I[t] (exact integration,
-Rotter & Diesmann 1999) across the chunks. It returns at the first
-threshold crossing, so the steps after it are never drawn. Every
-operation has a fixed order, so any peer replays a race bit for bit,
-whatever the chunk size.
+membrane recurrence V[t] = decay*V[t-1] + I[t] from an initial
+potential (exact integration, Rotter & Diesmann 1999) across the
+chunks. It returns at the first threshold crossing, so the steps after
+it are never drawn. Every operation has a fixed order, so any peer
+replays a race bit for bit, whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -124,12 +124,13 @@ def spike_trains(keys: np.ndarray, probs: np.ndarray, isis: np.ndarray,
     return mats[0] if len(mats) == 1 else np.concatenate(mats)
 
 
-def lif_first_fire_from_current(current, decay: float, theta: float) -> int:
+def lif_first_fire_from_current(current, v0: float, decay: float,
+                                theta: float) -> int:
     """First step at which the leaky integration of `current` (any
-    iterable of floats) reaches the threshold, or -1. Only the pre-reset
-    trajectory decides the first crossing, so the scan stops there and
-    consumes nothing beyond it."""
-    v = 0.0
+    iterable of floats) from the initial potential `v0` reaches the
+    threshold, or -1. Only the first crossing matters, so the scan stops
+    there and consumes nothing beyond it."""
+    v = v0
     for t, i_t in enumerate(current):
         v = decay * v + i_t
         if v >= theta:
@@ -152,12 +153,14 @@ def _chunked_current(keys, probs, isis, weights, n_steps: int,
 
 
 def first_fire(keys: np.ndarray, probs: np.ndarray, isis: np.ndarray,
-               weights: np.ndarray, n_steps: int, decay: float, theta: float,
-               use_rate: bool = True, use_temporal: bool = False) -> int:
-    """First step at which a neuron fed the given trains fires, or -1.
-    Steps after the first crossing are never drawn."""
+               weights: np.ndarray, n_steps: int, v0: float, decay: float,
+               theta: float, use_rate: bool = True,
+               use_temporal: bool = False) -> int:
+    """First step at which a neuron that starts at potential `v0` and is
+    fed the given trains fires, or -1. Steps after the first crossing are
+    never drawn."""
     if not (use_rate or use_temporal) or len(keys) == 0:
         return -1
     return lif_first_fire_from_current(
         _chunked_current(keys, probs, isis, weights, n_steps, use_rate,
-                         use_temporal), decay, theta)
+                         use_temporal), v0, decay, theta)

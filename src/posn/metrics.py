@@ -164,20 +164,25 @@ def conflicting_finalizations(log: RunLog) -> list[int]:
 # export
 # ---------------------------------------------------------------------------
 
-# per runlog record type, each field export writes and its type
+# the RunLog fields in the summary and in the runlog's meta record
+META_FIELDS = {"protocol": str, "master_seed": int, "duration_ms": float,
+               "observer": int, "config": dict, "msg_counters": dict[str, int],
+               "total_minted": int, "total_burned": int,
+               "violations": list[str]}
+# per runlog record type, each field export writes and its type; each
+# chain block is a [slot, hash] pair
 RECORD_FIELDS = {
+    "meta": META_FIELDS,
     "slot": {"slot": int, "outcome": str, "leader": Optional[int],
              "fire_step": Optional[int], "tie_size": int, "vrf_used": bool,
              "quorum_size": int, "n_block_txs": int,
              "finalize_ms": Optional[float]},
     "tx": {"id": str, "submit_ms": float, "finalize_ms": Optional[float]},
     "penalty": {"validator": int, "slot": int, "amount": int, "reason": str},
+    "chain": {"node": int, "blocks": list[list]},
 }
 SLOT_COLUMNS = list(RECORD_FIELDS["slot"])
 TX_COLUMNS = ["id", "submit_ms", "finalize_ms", "latency_ms"]
-# the RunLog fields in the summary and in the runlog's meta record
-META_FIELDS = ("protocol", "master_seed", "duration_ms", "observer", "config",
-               "msg_counters", "total_minted", "total_burned", "violations")
 
 
 def _cell(value) -> str:
@@ -240,7 +245,7 @@ def load_runlog(path: str) -> RunLog:
     runlog part of `export`; per-node balances are not exported and come
     back empty here). A malformed record, or one whose fields are not
     `RECORD_FIELDS`, raises IoFailure naming the file and the line."""
-    meta, chains, records = None, {}, {kind: [] for kind in RECORD_FIELDS}
+    records = {kind: [] for kind in RECORD_FIELDS}
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -248,16 +253,20 @@ def load_runlog(path: str) -> RunLog:
                 try:
                     rec = json.loads(line)
                     kind = rec.pop("type")
-                    if kind == "meta":
-                        meta, meta_at = rec, where
-                    elif kind == "chain":
-                        chains[int(rec["node"])] = rec["blocks"]
-                    elif kind in records:
-                        for name, tp in RECORD_FIELDS[kind].items():
-                            field_at = f"the {kind} record's {name}"
-                            require(name in rec, field_at, "missing")
-                            check_type(rec[name], tp, field_at)
-                        records[kind].append(rec)
+                    if kind not in records:
+                        continue
+                    for name, tp in RECORD_FIELDS[kind].items():
+                        field_at = f"the {kind} record's {name}"
+                        require(name in rec, field_at, "missing")
+                        check_type(rec[name], tp, field_at)
+                    if kind == "chain":
+                        for i, pair in enumerate(rec["blocks"]):
+                            pair_at = f"the chain record's blocks[{i}]"
+                            require(len(pair) == 2, pair_at,
+                                    "must be a [slot, hash] pair")
+                            check_type(pair[0], int, pair_at)
+                            check_type(pair[1], str, pair_at)
+                    records[kind].append(rec)
                 except ConfigError as exc:
                     raise IoFailure(f"{where}: {exc}") from None
                 except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -265,11 +274,11 @@ def load_runlog(path: str) -> RunLog:
                                     ) from None
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-    if meta is None:
+    if not records["meta"]:
         raise IoFailure(f"{path}: no meta record")
-    try:
-        return RunLog(**{k: meta[k] for k in META_FIELDS},
-                      slot_records=records["slot"], tx_records=records["tx"],
-                      penalties=records["penalty"], node_finalized=chains)
-    except KeyError as exc:
-        raise IoFailure(f"{meta_at}: the meta record lacks {exc}") from None
+    meta = records["meta"][-1]
+    return RunLog(**{k: meta[k] for k in META_FIELDS},
+                  slot_records=records["slot"], tx_records=records["tx"],
+                  penalties=records["penalty"],
+                  node_finalized={rec["node"]: rec["blocks"]
+                                  for rec in records["chain"]})

@@ -1,16 +1,18 @@
-"""Transaction-to-spike encodings and the leaky integrate-and-fire neuron.
+"""Transaction-to-spike encodings and the replay of the election race.
 
-Every validator runs one LIF neuron per slot. Pending transactions are
-encoded as spike trains (rate coded, temporal coded, or both), weighted
-by fee priority, summed into an input current, and integrated:
+Every validator runs one leaky integrate-and-fire neuron per slot.
+Pending transactions are encoded as spike trains (rate coded, temporal
+coded, or both), weighted by fee priority, summed into an input current,
+and integrated from the initial potential v_reset:
 
     V(t+dt) = V(t) * exp(-lam*dt) + I(t)
 
-with a spike whenever V reaches theta, after which V drops to v_reset.
-The earliest spike step doubles as the validator's election bid, so the
-whole pipeline must be replayable bit-for-bit by any peer. Stochastic
-trains therefore draw from counter-based streams keyed by a seed only
-available once the slot's transaction set is fixed.
+The earliest step at which V reaches theta is the validator's election
+bid. The race ends at that first crossing, so the neuron never resets.
+The whole pipeline must be replayable bit-for-bit by any peer, so the
+stochastic trains draw from counter-based streams keyed by a seed only
+available once the slot's transaction set is fixed. `kernels.first_fire`
+is the one neuron.
 
 A race replays every validator over one spike set. The per-tx rates,
 intervals and weights (`spike_params`) do not depend on the validator,
@@ -21,7 +23,7 @@ keys (`tx_stream_keys`) are derived per validator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Optional, Sequence
 
@@ -41,19 +43,6 @@ class SlotSeed:
     def __post_init__(self):
         if len(self.data) != 32:
             raise ValueError("slot seed must be 32 bytes")
-
-
-@dataclass(frozen=True)
-class NeuronState:
-    v: float
-    lam: float
-    theta: float
-    v_reset: float
-
-    @classmethod
-    def fresh(cls, cfg: Config) -> "NeuronState":
-        return cls(v=cfg.v_reset, lam=cfg.lam, theta=cfg.theta,
-                   v_reset=cfg.v_reset)
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +110,6 @@ def weight_for(tx: Transaction, cfg: Config) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the neuron
-# ---------------------------------------------------------------------------
-
-def lif_step(state: NeuronState, current: float,
-             dt: float) -> tuple[NeuronState, bool]:
-    """One exact-decay update. The spike impulse lands after the decay;
-    on crossing theta the potential resets."""
-    v = state.v * math.exp(-state.lam * dt) + current
-    if v >= state.theta:
-        return replace(state, v=state.v_reset), True
-    return replace(state, v=v), False
-
-
-# ---------------------------------------------------------------------------
 # per-validator replay
 # ---------------------------------------------------------------------------
 
@@ -181,19 +156,6 @@ def first_spike_step(validator: ValidatorId, txs: Sequence[Transaction],
     keys, probs, isis, weights = spike_inputs(txs, vseed, cfg, params)
     use_rate, use_temporal = encoding_flags(cfg)
     step = kernels.first_fire(keys, probs, isis, weights, cfg.tau_steps,
-                              cfg.decay, cfg.theta, use_rate, use_temporal)
+                              cfg.v_reset, cfg.decay, cfg.theta, use_rate,
+                              use_temporal)
     return None if step < 0 else step
-
-
-def lif_trace(current: np.ndarray, cfg: Config) -> tuple[np.ndarray, list[int]]:
-    """Full-slot trajectory with resets, for debugging and trace export:
-    returns the per-step potential (post-update) and all spike steps."""
-    state = NeuronState.fresh(cfg)
-    vs = np.empty(len(current), dtype=np.float64)
-    spikes = []
-    for t, i_t in enumerate(current):
-        state, spiked = lif_step(state, float(i_t), cfg.dt_ms)
-        if spiked:
-            spikes.append(t)
-        vs[t] = state.v
-    return vs, spikes

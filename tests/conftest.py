@@ -1,4 +1,5 @@
 import random
+import sys
 import tempfile
 from dataclasses import replace
 from typing import Iterable
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+import posn.consensus as consensus
 import posn.crypto as crypto
 from posn.consensus import Keyring
 from posn.core import PosnError, Transaction, default_config
@@ -58,6 +60,23 @@ def verify_calls(monkeypatch):
     monkeypatch.setattr(crypto, "verify", counting(crypto.verify))
     monkeypatch.setattr(crypto, "vrf_verify", counting(crypto.vrf_verify))
     return calls
+
+
+@pytest.fixture
+def verdicts(monkeypatch):
+    """The (node index, block, verdict) of every consensus.validate_proposal
+    call, in call order. Its caller is a `Node` method, whose `self` names
+    the node that judged."""
+    rows = []
+    judge = consensus.validate_proposal
+
+    def recording(block, *args, **kwargs):
+        verdict = judge(block, *args, **kwargs)
+        rows.append((sys._getframe(1).f_locals["self"].index, block, verdict))
+        return verdict
+
+    monkeypatch.setattr(consensus, "validate_proposal", recording)
+    return rows
 
 
 def make_tx(seed: int, value: int = None, fee: int = None,

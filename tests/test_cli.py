@@ -228,16 +228,29 @@ def test_report_exit_statuses(tmp_path, capsys):
     no_protocol.write_text("\n".join(
         [json.dumps({k: v for k, v in meta.items() if k != "protocol"})]
         + lines[1:]) + "\n")
+    # the first chain record names another block for its first slot than
+    # the other chains do, and the meta record names no violation
+    at = next(i for i, line in enumerate(lines)
+              if json.loads(line)["type"] == "chain")
+    chain = json.loads(lines[at])
+    slot = chain["blocks"][0][0]
+    chain["blocks"][0][1] = "00" * 32
+    forked = tmp_path / "forked.jsonl"
+    forked.write_text("\n".join(lines[:at] + [json.dumps(chain)]
+                                + lines[at + 1:]) + "\n")
     capsys.readouterr()
     assert main(["report", str(clean)]) == 0
     assert main(["report", str(violated)]) == 1
     capsys.readouterr()
+    assert main(["report", str(forked)]) == 1
+    assert capsys.readouterr().err == (
+        f"{forked}: conflicting finalization in slot {slot}\n")
     assert main(["report", str(truncated)]) == 2
     assert capsys.readouterr().err.startswith(
         f"error: {truncated}, line 3: not a runlog record")
     assert main(["report", str(no_protocol)]) == 2
     assert capsys.readouterr().err == (
-        f"error: {no_protocol}, line 1: the meta record lacks 'protocol'\n")
+        f"error: {no_protocol}, line 1: the meta record's protocol: missing\n")
 
 
 _DROPPED = object()
@@ -251,8 +264,15 @@ _DROPPED = object()
      "the tx record's finalize_ms: must be a number"),
     ("tx", "submit_ms", None, "the tx record's submit_ms: must be a number"),
     ("tx", "id", _DROPPED, "the tx record's id: missing"),
+    ("meta", "duration_ms", "soon",
+     "the meta record's duration_ms: must be a number"),
+    ("chain", "node", "0", "the chain record's node: must be int"),
+    ("chain", "blocks", "x", "the chain record's blocks: must be list"),
+    ("chain", "blocks", [[1]],
+     "the chain record's blocks[0]: must be a [slot, hash] pair"),
 ], ids=["no-outcome", "str-leader", "float-slot", "str-finalize",
-        "null-submit", "no-id"])
+        "null-submit", "no-id", "str-duration", "str-node", "str-blocks",
+        "short-pair"])
 def test_report_bad_record_exits_2(tmp_path, capsys, kind, field, value,
                                    problem):
     lines = _runlog_lines(tmp_path)

@@ -91,7 +91,7 @@ def _composite_current(weights, *spike_mats):
     return current
 
 
-def _whole_matrix_first_fire(keys, probs, isis, weights, n_steps, decay,
+def _whole_matrix_first_fire(keys, probs, isis, weights, n_steps, v0, decay,
                              theta, use_rate, use_temporal):
     mats = []
     if use_rate:
@@ -101,7 +101,7 @@ def _whole_matrix_first_fire(keys, probs, isis, weights, n_steps, decay,
     if not mats or len(keys) == 0:
         return -1
     current = _composite_current(weights, *mats)
-    v = 0.0
+    v = v0
     for t, i_t in enumerate(current.tolist()):
         v = decay * v + i_t
         if v >= theta:
@@ -161,7 +161,8 @@ def _random_case(rng):
                   ** rng.uniform(0.0, 0.6))
     use_rate, use_temporal = [(True, False), (False, True),
                               (True, True)][int(rng.integers(0, 3))]
-    return (keys, probs, isis, weights, n_steps, decay, theta, use_rate,
+    v0 = float(rng.uniform(-1.0, 0.5) * theta)
+    return (keys, probs, isis, weights, n_steps, v0, decay, theta, use_rate,
             use_temporal)
 
 
@@ -172,7 +173,7 @@ def test_first_fire_matches_whole_matrix_reference():
         case = _random_case(rng)
         got = first_fire(*case)
         assert got == _whole_matrix_first_fire(*case), case
-        k, n_steps = len(case[0]), case[4]
+        k, n_steps, v0 = len(case[0]), case[4], case[5]
         seen["K=0"] += k == 0
         seen["T not a multiple"] += n_steps % CHUNK_STEPS != 0
         seen["never fires"] += k > 0 and got == -1
@@ -180,8 +181,10 @@ def test_first_fire_matches_whole_matrix_reference():
             and got % CHUNK_STEPS == CHUNK_STEPS - 1
         seen["first step of a later chunk"] += got >= CHUNK_STEPS \
             and got % CHUNK_STEPS == 0
-        seen[case[7:]] += 1
-    assert len(seen) == 8 and min(seen.values()) >= 20, seen
+        seen["v0 < 0"] += v0 < 0
+        seen["v0 > 0"] += v0 > 0
+        seen[case[8:]] += 1
+    assert len(seen) == 10 and min(seen.values()) >= 20, seen
 
 
 @pytest.mark.parametrize("isi, fires_at", [
@@ -192,7 +195,7 @@ def test_first_fire_matches_whole_matrix_reference():
 def test_first_fire_crossing_at_a_chunk_boundary(isi, fires_at):
     # one temporal train whose first spike alone reaches the threshold
     case = (np.zeros(1, np.uint64), np.zeros(1), np.array([isi]),
-            np.array([1.0]), 3 * CHUNK_STEPS, 0.9, 1.0, False, True)
+            np.array([1.0]), 3 * CHUNK_STEPS, 0.0, 0.9, 1.0, False, True)
     assert first_fire(*case) == _whole_matrix_first_fire(*case) == fires_at
     # a slot that ends just before the spike never fires
     short = case[:4] + (fires_at,) + case[5:]
@@ -208,7 +211,7 @@ def test_first_fire_draws_nothing_after_the_crossing(monkeypatch):
 
     monkeypatch.setattr(kernels, "spike_trains", recording)
     case = (np.zeros(1, np.uint64), np.zeros(1), np.array([CHUNK_STEPS + 1]),
-            np.array([1.0]), 250, 0.9, 1.0, False, True)
+            np.array([1.0]), 250, 0.0, 0.9, 1.0, False, True)
     assert first_fire(*case) == CHUNK_STEPS
     assert windows == [(0, CHUNK_STEPS), (CHUNK_STEPS, 2 * CHUNK_STEPS)]
 
@@ -218,8 +221,9 @@ def test_first_fire_from_current_matches_loop():
     for _ in range(50):
         current = rng.uniform(0, 0.3, size=rng.integers(5, 200))
         decay = rng.uniform(0.5, 0.99)
-        got = lif_first_fire_from_current(current, decay, 1.0)
-        v, want = 0.0, -1
+        v0 = rng.uniform(-1.0, 0.5)
+        got = lif_first_fire_from_current(current, v0, decay, 1.0)
+        v, want = v0, -1
         for t, c in enumerate(current):
             v = decay * v + c
             if v >= 1.0:
@@ -228,9 +232,11 @@ def test_first_fire_from_current_matches_loop():
         assert got == want
 
 
-def _lfilter_first_fire(current, decay, theta):
-    """The scan as a linear filter: y[t] = x[t] + decay*y[t-1]."""
-    fired = lfilter([1.0], [1.0, -decay], current) >= theta
+def _lfilter_first_fire(current, v0, decay, theta):
+    """The scan as a linear filter: y[t] = x[t] + decay*y[t-1], with
+    y[-1] = v0."""
+    fired = lfilter([1.0], [1.0, -decay], current,
+                    zi=[decay * v0])[0] >= theta
     return int(np.argmax(fired)) if fired.any() else -1
 
 
@@ -240,22 +246,23 @@ def test_first_fire_from_current_matches_lfilter():
         current = rng.uniform(0, 0.3, size=rng.integers(1, 300))
         decay = rng.uniform(0.5, 0.99)
         theta = rng.uniform(0.5, 3.0)
-        assert lif_first_fire_from_current(current, decay, theta) == \
-            _lfilter_first_fire(current, decay, theta)
+        v0 = rng.uniform(-theta, theta)
+        assert lif_first_fire_from_current(current, v0, decay, theta) == \
+            _lfilter_first_fire(current, v0, decay, theta)
     # v lands exactly on theta at step 2: 0.5, 0.75, 1.0 with decay 0.5
     exact = np.array([0.5, 0.5, 0.625, 0.0])
-    assert lif_first_fire_from_current(exact, 0.5, 1.0) == 2
-    assert _lfilter_first_fire(exact, 0.5, 1.0) == 2
+    assert lif_first_fire_from_current(exact, 0.0, 0.5, 1.0) == 2
+    assert _lfilter_first_fire(exact, 0.0, 0.5, 1.0) == 2
     # never fires: the potential settles at 0.1/(1-0.5) = 0.2 < theta
     quiet = np.full(200, 0.1)
-    assert lif_first_fire_from_current(quiet, 0.5, 1.0) == -1
-    assert _lfilter_first_fire(quiet, 0.5, 1.0) == -1
+    assert lif_first_fire_from_current(quiet, 0.0, 0.5, 1.0) == -1
+    assert _lfilter_first_fire(quiet, 0.0, 0.5, 1.0) == -1
 
 
 def test_first_fire_empty_input():
     empty = np.array([], dtype=np.uint64)
     assert first_fire(empty, np.array([]), np.array([], dtype=np.int64),
-                      np.array([]), 100, 0.9, 1.0) == -1
+                      np.array([]), 100, 0.0, 0.9, 1.0) == -1
 
 
 def test_cli_import_loads_no_scipy_or_numba():

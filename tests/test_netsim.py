@@ -431,24 +431,21 @@ def test_honest_baseline_partition_penalizes_nobody():
     assert penalized == {seed: [] for seed in range(6)}
 
 
-def test_baselines_share_the_proposal_validator(monkeypatch):
+def test_baselines_share_the_proposal_validator(monkeypatch, verdicts):
     # one por_elect per slot (the memoized slot context), and every
-    # distinct proposal each node sees is judged by validate_proposal
+    # distinct proposal each node sees is judged by validate_proposal, once
     import posn.baselines as baselines
-    import posn.consensus as consensus
 
     calls = collections.Counter()
     monkeypatch.setattr(baselines, "por_elect", _counting(
         calls, "por_elect", baselines.por_elect))
-    monkeypatch.setattr(consensus, "validate_proposal", _counting(
-        calls, "validate_proposal", consensus.validate_proposal))
     cfg = default_config(4, master_seed=8)
     sim = Sim(cfg, FaultPlan(), _load(40.0, 6 * cfg.slot_ms("por")), "por")
     log = sim.run()
     assert log.violations == []
-    judged = sum(len(node.proposal_log) for node in sim.nodes)
-    assert judged >= 4 * sim.n_slots
-    assert calls["validate_proposal"] == judged
+    judged = [(node, hash_block(block)) for node, block, _ in verdicts]
+    assert len(judged) >= 4 * sim.n_slots
+    assert len(set(judged)) == len(judged)
     assert calls["por_elect"] == sim.n_slots
 
 

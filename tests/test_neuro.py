@@ -1,18 +1,15 @@
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from posn.core import GENESIS_HASH, ConfigError, default_config
 from posn.consensus import Keyring
+from posn.kernels import lif_first_fire_from_current
 from posn.neuro import (
-    NeuronState,
     SlotSeed,
     first_spike_step,
     isi_for,
-    lif_step,
-    lif_trace,
     make_slot_seed,
     mix_validator,
     rate_for,
@@ -25,34 +22,20 @@ import reference
 from conftest import make_tx, make_txs
 
 
-def test_lif_decay_oracle(cfg4):
-    # one exact-decay step from V=0.5 with lam=0.1, dt=1, no input
-    state = NeuronState(v=0.5, lam=0.1, theta=1.0, v_reset=0.0)
-    nxt, spiked = lif_step(state, 0.0, 1.0)
-    assert not spiked
-    assert nxt.v == 0.45241870901797976
+def test_lif_decay_oracle():
+    # one exact-decay step from V=0.5 with lam=0.1, dt=1, no input: the
+    # scan crosses a threshold at that value and not the next float above
+    v = 0.45241870901797976
+    assert lif_first_fire_from_current([0.0], 0.5, math.exp(-0.1), v) == 0
+    assert lif_first_fire_from_current(
+        [0.0], 0.5, math.exp(-0.1), math.nextafter(v, 1.0)) == -1
 
 
-def test_lif_threshold_crossing_resets():
-    state = NeuronState(v=0.9, lam=0.1, theta=1.0, v_reset=0.0)
-    # 0.9*e^-0.1 + 0.2 = 1.01435... >= theta
-    nxt, spiked = lif_step(state, 0.2, 1.0)
-    assert spiked
-    assert nxt.v == 0.0
-    # just below threshold: no spike, potential keeps the update value
-    nxt, spiked = lif_step(state, 0.15, 1.0)
-    assert not spiked
-    assert nxt.v == pytest.approx(0.9 * math.exp(-0.1) + 0.15)
-
-
-def test_lif_long_run_matches_closed_form(cfg4):
-    state = NeuronState.fresh(replace(cfg4, v_reset=0.0))
-    state = replace(state, v=0.73)
-    v0, lam = state.v, state.lam
-    for t in range(1, 2001):
-        state, spiked = lif_step(state, 0.0, cfg4.dt_ms)
-        assert not spiked
-        assert abs(state.v - v0 * math.exp(-lam * t)) < 1e-12
+def test_lif_threshold_crossing():
+    # 0.9*e^-0.1 + 0.2 = 1.01435... >= theta; with 0.15 it stays below
+    decay = math.exp(-0.1)
+    assert lif_first_fire_from_current([0.2], 0.9, decay, 1.0) == 0
+    assert lif_first_fire_from_current([0.15, 0.0], 0.9, decay, 1.0) == -1
 
 
 def test_rate_for_oracle(cfg4):
@@ -124,9 +107,15 @@ def test_first_spike_step_no_txs(cfg4, keys4):
     assert first_spike_step(keys4.validator(0), [], seed, cfg4) is None
 
 
-@pytest.mark.parametrize("encoding", ["rate", "temporal", "both"])
-def test_first_spike_matches_reference(encoding):
-    cfg = default_config(4, master_seed=77, encoding=encoding)
+# the default v_reset keeps the bare encoding as the case id
+@pytest.mark.parametrize("encoding,v_reset", [
+    pytest.param(encoding, v_reset,
+                 id=encoding if v_reset == 0.0 else f"{encoding}-{v_reset}")
+    for v_reset in (0.0, -0.5, 0.6)
+    for encoding in ("rate", "temporal", "both")])
+def test_first_spike_matches_reference(encoding, v_reset):
+    cfg = default_config(4, master_seed=77, encoding=encoding,
+                         v_reset=v_reset)
     keys = Keyring(cfg.master_seed, 4)
     for case in range(10):
         txs = make_txs(500 + case, 1 + case % 6)
@@ -153,11 +142,3 @@ def test_first_spike_deterministic(cfg7, keys7, txs):
     assert first_spike_step(v, txs, seed, cfg7) == \
         first_spike_step(v, txs, seed, cfg7)
 
-
-def test_lif_trace_reports_resets(cfg4):
-    current = np.array([0.6, 0.6, 0.0, 0.6, 0.6])
-    vs, spikes = lif_trace(current, cfg4)
-    # 0.6 then 0.6*e^-0.1+0.6 = 1.143 >= 1 -> spike at step 1, reset
-    assert spikes[0] == 1
-    assert vs[1] == 0.0
-    assert len(vs) == 5

@@ -15,6 +15,8 @@ import sys
 
 import pytest
 
+from posn import FaultPlan, LoadProfile, Sim, default_config
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -90,6 +92,19 @@ def test_traced_baseline_pass_is_exact_and_elects_once_per_slot(tmp_path):
     slots = sum(row["slots"] for row in result["inputs"])
     assert result["spans"]["baselines.por_elect"][0] == slots
     assert result["spans"]["consensus.validate_proposal"][0] > 0
+
+
+def test_node_state_entries_counts_node_state_that_exists():
+    # worker.node_state_entries reads each name with getattr(node, attr,
+    # ()), so a node-state deletion would zero the metric without an error
+    counted = ("finalize_seen", "block_final_ms", "pending_finalize")
+    cfg = default_config(4, master_seed=3)
+    sim = Sim(cfg, FaultPlan(), LoadProfile(40.0, 6 * cfg.slot_ms()))
+    sim.run()
+    held = sum(len(getattr(node, attr)) for node in sim.nodes
+               for attr in counted)
+    assert held > 0
+    assert worker.node_state_entries(sim) == held
 
 
 def _reject_constant(token):

@@ -190,7 +190,7 @@ def _signed(sim, proposer, slot, parent_hash, txs, claimed_fire_step=0):
 
 
 def test_nodes_judge_forged_spikes_by_the_context_their_slot_began_with(
-        monkeypatch, cfg4):
+        monkeypatch, verdicts, cfg4):
     sim = Sim(cfg4, FaultPlan(), LoadProfile(250.0, 10 * cfg4.slot_ms()))
     sim._schedule_load()
     slot, now = 3, 3 * sim.slot_ms
@@ -243,11 +243,13 @@ def test_nodes_judge_forged_spikes_by_the_context_their_slot_began_with(
     on_new_tip = _signed(sim, liar, slot, node.chain.tip_hash,
                          view.block_txs)
     node.on_message(now, Proposal(on_new_tip))
-    assert node.proposal_log[-1]["reason"] in ("SpikeMismatch", "NotElected")
+    judge, _, verdict = verdicts[-1]
+    assert judge == 2 and verdict.reason in ("SpikeMismatch", "NotElected")
     assert ("forged_spike", liar, slot) in node.evidence_seen
     assert replays == {2: 1}
     # a second forgery by the same proposer is already proven
     node.on_message(now, Proposal(_signed(sim, liar, slot, node.chain.tip_hash,
                                           view.block_txs, 1)))
-    assert node.proposal_log[-1]["reason"] in ("SpikeMismatch", "NotElected")
+    judge, _, verdict = verdicts[-1]
+    assert judge == 2 and verdict.reason in ("SpikeMismatch", "NotElected")
     assert replays == {2: 1}
