@@ -17,19 +17,14 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import crypto
-from .core import (Block, ChainState, Config, PenaltyEntry, PosnError,
-                   Transaction, ValidatorId, Vote, append_block, hash_block,
-                   select_mempool, u64, vote_signing_bytes)
+from .core import (CLIENT_BASE, Block, ChainState, Config, PenaltyEntry,
+                   PosnError, Transaction, ValidatorId, Vote, append_block,
+                   hash_block, select_mempool, u64, vote_signing_bytes)
 from .neuro import SlotSeed, first_spike_step, make_slot_seed, spike_params
 
 # slot outcomes; Skipped is the timeout exit
 FINALIZED = "Finalized"
 SKIPPED = "Skipped"
-
-LEADER_REWARD = "LeaderReward"
-VOTE_REWARD = "VoteReward"
-PENALTY = "Penalty"
-REDISTRIBUTION = "Redistribution"
 
 
 class NotLeader(PosnError):
@@ -48,14 +43,6 @@ class ElectionResult:
     vrf_used: bool
     # winner's VRF output when vrf_used, so the proposer can attach it
     vrf_output: Optional[crypto.VrfOutput] = None
-
-
-@dataclass(frozen=True)
-class RewardEvent:
-    slot: int
-    recipient: ValidatorId
-    amount: int
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -92,11 +79,6 @@ class ForgedSpike:
 
 
 Evidence = Union[Equivocation, ForgedSpike]
-
-
-# key indices of the transaction submitters; entity ids at/above this are
-# clients, below it validators
-CLIENT_BASE = 10_000
 
 
 class Keyring:
@@ -335,13 +317,15 @@ def validate_proposal(block: Block, slot: int, parent_hash: bytes,
     return Verdict.ok()
 
 
-def collect_votes(votes: Iterable[Vote], block_hash: bytes, n: int,
-                  keys: Keyring) -> tuple[bool, tuple[Vote, ...]]:
-    """Valid, per-voter-deduplicated votes on one block; finalized when
-    they reach the quorum threshold."""
+def collect_votes(votes: Iterable[Vote], block_hash: bytes, slot: int,
+                  n: int, keys: Keyring) -> tuple[bool, tuple[Vote, ...]]:
+    """Valid, per-voter-deduplicated votes on the block `block_hash` of
+    `slot`; finalized when they reach the quorum threshold. A vote for
+    another block or slot is dropped."""
     seen: dict[int, Vote] = {}
     for v in votes:
-        if v.block_hash != block_hash or not keys.known(v.voter):
+        if v.block_hash != block_hash or v.slot != slot \
+                or not keys.known(v.voter):
             continue
         if v.voter.index in seen:
             continue
@@ -362,17 +346,14 @@ def make_vote(voter: ValidatorId, sk: bytes, slot: int,
 # ---------------------------------------------------------------------------
 
 def distribute_rewards(block: Block, quorum: Sequence[Vote],
-                       cfg: Config) -> tuple[RewardEvent, ...]:
-    """One leader reward (base + fees) plus one vote reward per quorum
-    member, voters in index order."""
-    fees = sum(tx.fee for tx in block.txs)
-    events = [RewardEvent(slot=block.slot, recipient=block.proposer,
-                          amount=cfg.r_base + fees, kind=LEADER_REWARD)]
-    voters = sorted({v.voter for v in quorum}, key=lambda v: v.index)
-    events.extend(RewardEvent(slot=block.slot, recipient=vid,
-                              amount=cfg.r_vote, kind=VOTE_REWARD)
-                  for vid in voters)
-    return tuple(events)
+                       cfg: Config) -> dict[int, int]:
+    """{validator index: credit}: base reward plus fees to the leader,
+    `r_vote` to each distinct voter; leader first, voters in index order."""
+    credits = {block.proposer.index: cfg.r_base + sum(tx.fee
+                                                      for tx in block.txs)}
+    for idx in sorted({v.voter.index for v in quorum}):
+        credits[idx] = credits.get(idx, 0) + cfg.r_vote
+    return credits
 
 
 def verify_evidence(evidence: Evidence, keys: Keyring,
@@ -414,7 +395,7 @@ def evidence_key(evidence: Evidence) -> tuple[str, int, int]:
 
 def apply_penalty(chain: ChainState, evidence: Evidence, cfg: Config,
                   keys: Keyring, ctx: Optional[SlotContext] = None
-                  ) -> tuple[ChainState, tuple[RewardEvent, ...]]:
+                  ) -> ChainState:
     """Penalize a proven offense: balance cut, burned by default or split
     across the other validators when cfg.penalty_redistribute is set.
     Idempotent per (offense, offender, slot); invalid evidence raises and
@@ -423,13 +404,11 @@ def apply_penalty(chain: ChainState, evidence: Evidence, cfg: Config,
     reason, offender, slot = evidence_key(evidence)
     for entry in chain.penalties_log:
         if (entry.reason, entry.validator, entry.slot) == (reason, offender, slot):
-            return chain, ()
+            return chain
     amount = (cfg.penalty_equivocation if reason == "equivocation"
               else cfg.penalty_forged_spike)
     balances = dict(chain.balances)
     balances[offender] = balances.get(offender, 0) - amount
-    events = [RewardEvent(slot=slot, recipient=keys.validator(offender),
-                          amount=-amount, kind=PENALTY)]
     burned = amount
     if cfg.penalty_redistribute and cfg.n_validators > 1:
         others = [i for i in range(cfg.n_validators) if i != offender]
@@ -437,16 +416,12 @@ def apply_penalty(chain: ChainState, evidence: Evidence, cfg: Config,
         if share > 0:
             for i in others:
                 balances[i] = balances.get(i, 0) + share
-                events.append(RewardEvent(slot=slot,
-                                          recipient=keys.validator(i),
-                                          amount=share, kind=REDISTRIBUTION))
             burned = amount - share * len(others)
     entry = PenaltyEntry(validator=offender, slot=slot, amount=amount,
                          reason=reason)
-    chain = replace(chain, balances=balances,
-                    penalties_log=chain.penalties_log + (entry,),
-                    total_burned=chain.total_burned + burned)
-    return chain, tuple(events)
+    return replace(chain, balances=balances,
+                   penalties_log=chain.penalties_log + (entry,),
+                   total_burned=chain.total_burned + burned)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +500,10 @@ class Node:
     evidence found after the tip moved mid-slot; `protocol` picks only
     the proposal's send time. A node judges each distinct proposal once
     per slot and keeps no verdict: a copy of a proposal it has judged
-    changes nothing, so it returns at once.
+    changes nothing, so it returns at once. Each vote is checked once,
+    where it arrives: `_on_vote` checks a single vote (slot, voter, key,
+    signature) and `collect_votes` the quorum of a `FinalizeMsg`; the
+    chain then takes the checked quorum's credits without a re-check.
     """
 
     def __init__(self, index: int, keys: Keyring, cfg: Config,
@@ -684,8 +662,8 @@ class Node:
             ctx = self._began_with(evidence) or self._replay(
                 evidence.block.slot, evidence.parent_hash, evidence.spike_txs)
         try:
-            self.chain, _ = apply_penalty(self.chain, evidence, self.cfg,
-                                          self.keys, ctx)
+            self.chain = apply_penalty(self.chain, evidence, self.cfg,
+                                       self.keys, ctx)
         except InvalidEvidence:
             return False
         return True
@@ -713,8 +691,8 @@ class Node:
         if block.parent_hash != self.chain.tip_hash:
             self.pending_finalize[block.parent_hash] = (block, votes)
             return []
-        self.chain = append_block(self.chain, block, votes, self.cfg,
-                                  store=self.keys)
+        self.chain = append_block(self.chain, block,
+                                  distribute_rewards(block, votes, self.cfg))
         self.block_final_ms[block.slot] = now
         out: list[Outgoing] = []
         if block.slot == self.slot.slot:
@@ -723,7 +701,7 @@ class Node:
                                     payload=FinalizeMsg(block, votes)))
             self.slot.finalized = True
             self.slot.finalize_ms = now
-            self.slot.quorum_size = len({v.voter.index for v in votes})
+            self.slot.quorum_size = len(votes)
         # a queued successor may now link up
         waiting = self.pending_finalize.pop(self.chain.tip_hash, None)
         if waiting is not None:
@@ -739,6 +717,7 @@ class Node:
         if msg.block.slot in self.block_final_ms:
             return []
         finalized, quorum = collect_votes(msg.votes, block_hash,
+                                          msg.block.slot,
                                           self.cfg.n_validators, self.keys)
         if not finalized:
             return []

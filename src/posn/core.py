@@ -16,15 +16,16 @@ import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from hashlib import blake2b
-from typing import (TYPE_CHECKING, Annotated, Iterable, Literal, Optional,
-                    Sequence, Union, get_args, get_origin, get_type_hints)
+from typing import (Annotated, Literal, Optional, Sequence, Union, get_args,
+                    get_origin, get_type_hints)
 
 from .crypto import Signature, VrfOutput
 
-if TYPE_CHECKING:
-    from .consensus import Keyring
-
 GENESIS_HASH = b"\x00" * 32
+
+# key index of the first transaction submitter: key indices below it are
+# validators, at and above it clients, so it bounds the validator count
+CLIENT_BASE = 10_000
 
 SlotId = int  # non-negative slot counter, +1 per consensus round
 
@@ -39,18 +40,6 @@ class ConfigError(PosnError):
     def __init__(self, path: str, problem: str):
         super().__init__(f"{path}: {problem}")
         self.path, self.problem = path, problem
-
-
-class QuorumTooSmall(PosnError):
-    pass
-
-
-class ParentMismatch(PosnError):
-    pass
-
-
-class InvalidVoteSignature(PosnError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +172,9 @@ class ChainState:
 
     Copy-on-write: append_block / penalty application return fresh
     instances. `balances` maps validator index -> signed reward balance;
-    minted/burned totals make conservation checkable at any point.
+    minted/burned totals make conservation checkable at any point. The
+    chain checks no quorum and no parent link: its owner appends only a
+    block whose votes it checked and whose parent is the tip.
     """
     finalized: tuple[Block, ...] = ()
     balances: dict[int, int] = field(default_factory=dict)
@@ -306,6 +297,9 @@ class Config:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        require(self.n_validators <= CLIENT_BASE, "n_validators",
+                f"must be at most {CLIENT_BASE}, got {self.n_validators}: "
+                f"key indices from {CLIENT_BASE} on belong to clients")
         for name in ("dt_ms", "lam", "kappa", "epsilon_isi", "c_value",
                      "c_fee"):
             require(getattr(self, name) > 0, name, "must be positive")
@@ -375,40 +369,17 @@ def select_mempool(mempool: Sequence[Transaction],
     return tuple(ordered[:max_block_txs])
 
 
-def append_block(chain: ChainState, block: Block, quorum: Iterable[Vote],
-                 cfg: Config, *, store: Keyring) -> ChainState:
-    """Append a finalized block and apply its reward events; vote
-    signatures are checked through the run's key store.
-
-    Raises QuorumTooSmall / ParentMismatch / InvalidVoteSignature without
-    touching the chain.
-    """
-    from .consensus import distribute_rewards, quorum_threshold
-
-    votes = list(quorum)
-    block_hash = hash_block(block)
-    voters = set()
-    for v in votes:
-        if v.block_hash != block_hash or v.slot != block.slot:
-            raise InvalidVoteSignature("vote targets a different block")
-        if not store.check(v.voter.pk, v.signing_bytes(), v.signature):
-            raise InvalidVoteSignature(f"bad vote signature from {v.voter.index}")
-        voters.add(v.voter.index)
-    if len(voters) < quorum_threshold(cfg.n_validators):
-        raise QuorumTooSmall(
-            f"{len(voters)} voters < threshold {quorum_threshold(cfg.n_validators)}")
-    if block.parent_hash != chain.tip_hash:
-        raise ParentMismatch("block does not extend the chain tip")
-
-    events = distribute_rewards(block, votes, cfg)
+def append_block(chain: ChainState, block: Block,
+                 credits: dict[int, int]) -> ChainState:
+    """Append a finalized block and mint `credits` ({validator index:
+    amount}) into the balances. The caller has checked the block's quorum
+    and that its parent is the tip."""
     balances = dict(chain.balances)
-    minted = 0
-    for ev in events:
-        idx = ev.recipient.index
-        balances[idx] = balances.get(idx, 0) + ev.amount
-        minted += ev.amount
+    for idx, amount in credits.items():
+        balances[idx] = balances.get(idx, 0) + amount
     return replace(chain, finalized=chain.finalized + (block,),
-                   balances=balances, total_minted=chain.total_minted + minted)
+                   balances=balances,
+                   total_minted=chain.total_minted + sum(credits.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -243,8 +243,8 @@ def export(stats: SummaryStats, log: RunLog, path_prefix: str) -> list[str]:
 def load_runlog(path: str) -> RunLog:
     """Rebuild a RunLog from its JSON-lines export (inverse of the
     runlog part of `export`; per-node balances are not exported and come
-    back empty here). A malformed record, or one whose fields are not
-    `RECORD_FIELDS`, raises IoFailure naming the file and the line."""
+    back empty here). A malformed record, or one whose type or fields are
+    not `RECORD_FIELDS`', raises IoFailure naming the file and the line."""
     records = {kind: [] for kind in RECORD_FIELDS}
     try:
         with open(path) as fh:
@@ -253,8 +253,9 @@ def load_runlog(path: str) -> RunLog:
                 try:
                     rec = json.loads(line)
                     kind = rec.pop("type")
-                    if kind not in records:
-                        continue
+                    require(kind in records, "the record's type",
+                            f"must be one of {', '.join(records)}, "
+                            f"got {kind!r}")
                     for name, tp in RECORD_FIELDS[kind].items():
                         field_at = f"the {kind} record's {name}"
                         require(name in rec, field_at, "missing")

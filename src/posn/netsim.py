@@ -29,11 +29,11 @@ from typing import Collection, Iterable, Literal, Optional, Sequence, get_args
 from hashlib import blake2b
 
 from . import baselines, crypto
-from .consensus import (CLIENT_BASE, Keyring, Node, Outgoing, Payload,
-                        Proposal, SlotView, VoteMsg, compute_slot_context)
-from .core import (AtLeast, Block, ChainState, Config, Transaction,
-                   check_fields, check_type, hash_block, i64, require,
-                   tx_signing_bytes, u64)
+from .consensus import (Keyring, Node, Outgoing, Payload, Proposal,
+                        SlotView, VoteMsg, compute_slot_context)
+from .core import (CLIENT_BASE, AtLeast, Block, ChainState, Config,
+                   Transaction, check_fields, check_type, hash_block, i64,
+                   require, tx_signing_bytes, u64)
 from .kernels import Stream, stream_key
 from .metrics import RunLog, conflicting_finalizations
 

@@ -209,14 +209,14 @@ def test_07_quorum_arithmetic_exhaustive():
                      for i in range(n)]
         for k in range(n + 1):
             finalized, quorum = collect_votes(all_votes[:k], block_hash,
-                                              n, keys)
+                                              0, n, keys)
             assert finalized == (k >= thr), (n, k)
             assert len(quorum) == k
             checked += 1
         # duplicates of one voter never push the count over the line
         if thr >= 2:
             padded = all_votes[:thr - 1] + [all_votes[0]] * 5
-            finalized, quorum = collect_votes(padded, block_hash, n, keys)
+            finalized, quorum = collect_votes(padded, block_hash, 0, n, keys)
             assert not finalized
             assert len(quorum) == thr - 1
     _ok("c07 quorum", f"N=1..30 exhaustive vote counts ({checked} cases), "

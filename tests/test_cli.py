@@ -154,6 +154,16 @@ def test_run_negative_seed_flag_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: seed: ")
 
 
+def test_run_too_many_validators_exits_2(tmp_path, capsys):
+    # rejected before any key pair is built
+    rc = main(["run", "--validators", "100000000", "--out-dir",
+               str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: validators.n: must be at most 10000, got 100000000")
+    assert not (tmp_path / "out").exists()
+
+
 def _violating(monkeypatch):
     """Make every run record one conflicting finalization."""
     monkeypatch.setattr(netsim, "conflicting_finalizations", lambda log: [0])
@@ -251,6 +261,21 @@ def test_report_exit_statuses(tmp_path, capsys):
     assert main(["report", str(no_protocol)]) == 2
     assert capsys.readouterr().err == (
         f"error: {no_protocol}, line 1: the meta record's protocol: missing\n")
+
+
+def test_report_unknown_record_type_exits_2(tmp_path, capsys):
+    lines = _runlog_lines(tmp_path)
+    at = next(i for i, line in enumerate(lines)
+              if json.loads(line)["type"] == "slot")
+    rec = {**json.loads(lines[at]), "type": "slots"}
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines[:at] + [json.dumps(rec)]
+                             + lines[at + 1:]) + "\n")
+    capsys.readouterr()
+    assert main(["report", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}, line {at + 1}: the record's type: must be one of "
+        f"meta, slot, tx, penalty, chain, got 'slots'\n")
 
 
 _DROPPED = object()

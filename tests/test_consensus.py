@@ -7,6 +7,7 @@ from posn import crypto
 from posn.consensus import (
     ElectionResult,
     Equivocation,
+    FinalizeMsg,
     ForgedSpike,
     InvalidEvidence,
     Keyring,
@@ -25,7 +26,9 @@ from posn.consensus import (
     validate_proposal,
     verify_evidence,
 )
-from posn.core import GENESIS_HASH, ChainState, hash_block, select_mempool
+from posn.core import (GENESIS_HASH, ChainState, default_config, hash_block,
+                       select_mempool)
+from posn.netsim import FaultPlan, LoadProfile, Sim
 from posn.neuro import first_spike_step, make_slot_seed
 
 from conftest import make_tx, make_txs
@@ -347,17 +350,17 @@ def _votes_for(keys, n, block_hash, slot=0, voters=None):
 def test_collect_votes_threshold(keys4):
     h = b"\x09" * 32
     below = _votes_for(keys4, 4, h, voters=[0, 1])
-    ok, quorum = collect_votes(below, h, 4, keys4)
+    ok, quorum = collect_votes(below, h, 0, 4, keys4)
     assert not ok and len(quorum) == 2
     at = _votes_for(keys4, 4, h, voters=[0, 1, 2])
-    ok, quorum = collect_votes(at, h, 4, keys4)
+    ok, quorum = collect_votes(at, h, 0, 4, keys4)
     assert ok and len(quorum) == 3
 
 
 def test_collect_votes_deduplicates(keys4):
     h = b"\x09" * 32
     votes = _votes_for(keys4, 4, h, voters=[0, 0, 0, 1, 1, 2])
-    ok, quorum = collect_votes(votes, h, 4, keys4)
+    ok, quorum = collect_votes(votes, h, 0, 4, keys4)
     assert ok
     assert sorted(v.voter.index for v in quorum) == [0, 1, 2]
 
@@ -366,7 +369,7 @@ def test_collect_votes_drops_bad_signature(keys4):
     h = b"\x09" * 32
     votes = _votes_for(keys4, 4, h, voters=[0, 1, 2])
     votes[2] = replace(votes[2], signature=votes[0].signature)
-    ok, quorum = collect_votes(votes, h, 4, keys4)
+    ok, quorum = collect_votes(votes, h, 0, 4, keys4)
     assert not ok and len(quorum) == 2
 
 
@@ -374,15 +377,15 @@ def test_collect_votes_ignores_other_blocks(keys4):
     h, other = b"\x09" * 32, b"\x0a" * 32
     votes = _votes_for(keys4, 4, h, voters=[0, 1])
     votes += _votes_for(keys4, 4, other, voters=[2, 3])
-    ok, quorum = collect_votes(votes, h, 4, keys4)
+    ok, quorum = collect_votes(votes, h, 0, 4, keys4)
     assert not ok and len(quorum) == 2
 
 
 # --- rewards ----------------------------------------------------------------
 
 def test_distribute_rewards_amounts(cfg4, keys4):
-    # fees total 27; leader 0 votes too. leader event 100+27, three vote
-    # events of 10 -> leader balance 137, minted 157.
+    # fees total 27; leader 0 votes too: 100+27 for leading, 10 per
+    # voter -> leader credit 137, minted 157.
     txs = tuple(make_tx(i, value=10, fee=f) for i, f in
                 enumerate([9, 9, 9]))
     leader = keys4.validator(0)
@@ -391,16 +394,10 @@ def test_distribute_rewards_amounts(cfg4, keys4):
                               vrf_output=None)
     block = propose(leader, keys4.sk(0), 0, GENESIS_HASH, txs, election, cfg4)
     votes = _votes_for(keys4, 4, hash_block(block), voters=[0, 1, 2])
-    events = distribute_rewards(block, votes, cfg4)
-    assert [e.kind for e in events] == ["LeaderReward"] + ["VoteReward"] * 3
-    assert events[0].amount == 127
-    assert events[0].recipient == leader
-    assert sum(e.amount for e in events) == 157
-    by_validator = {}
-    for e in events:
-        by_validator[e.recipient.index] = \
-            by_validator.get(e.recipient.index, 0) + e.amount
-    assert by_validator[0] == 137
+    credits = distribute_rewards(block, votes, cfg4)
+    assert credits == {0: 137, 1: 10, 2: 10}
+    assert list(credits) == [0, 1, 2]   # leader first, voters by index
+    assert sum(credits.values()) == 157
 
 
 def test_distribute_rewards_deduplicates_voters(cfg4, keys4, txs):
@@ -410,8 +407,9 @@ def test_distribute_rewards_deduplicates_voters(cfg4, keys4, txs):
                               vrf_output=None)
     block = propose(leader, keys4.sk(1), 0, GENESIS_HASH, txs, election, cfg4)
     votes = _votes_for(keys4, 4, hash_block(block), voters=[1, 2, 2, 3, 3])
-    events = distribute_rewards(block, votes, cfg4)
-    assert sum(1 for e in events if e.kind == "VoteReward") == 3
+    fees = sum(tx.fee for tx in txs)
+    assert distribute_rewards(block, votes, cfg4) == {
+        1: cfg4.r_base + fees + cfg4.r_vote, 2: cfg4.r_vote, 3: cfg4.r_vote}
 
 
 # --- evidence and penalties -------------------------------------------------
@@ -556,36 +554,31 @@ def test_evidence_with_and_without_replay_agree_on_vrf(cfg7, keys7, txs,
 def test_apply_penalty_burns_by_default(cfg4, keys4, txs):
     a, b = _two_blocks_same_slot(cfg4, keys4, txs)
     chain = ChainState(balances={2: 500})
-    chain, events = apply_penalty(chain, Equivocation(a, b), cfg4, keys4)
+    chain = apply_penalty(chain, Equivocation(a, b), cfg4, keys4)
     assert chain.balances[2] == 500 - cfg4.penalty_equivocation
     assert chain.total_burned == cfg4.penalty_equivocation
-    assert [e.kind for e in events] == ["Penalty"]
-    assert events[0].amount == -cfg4.penalty_equivocation
     assert chain.penalties_log[-1].reason == "equivocation"
 
 
 def test_apply_penalty_is_idempotent(cfg4, keys4, txs):
     a, b = _two_blocks_same_slot(cfg4, keys4, txs)
     chain = ChainState(balances={2: 500})
-    chain, _ = apply_penalty(chain, Equivocation(a, b), cfg4, keys4)
-    again, events = apply_penalty(chain, Equivocation(a, b), cfg4, keys4)
+    chain = apply_penalty(chain, Equivocation(a, b), cfg4, keys4)
+    again = apply_penalty(chain, Equivocation(a, b), cfg4, keys4)
     assert again is chain
-    assert events == ()
 
 
 def test_apply_penalty_redistributes_when_configured(cfg4, keys4, txs):
     cfg = replace(cfg4, penalty_redistribute=True)
     a, b = _two_blocks_same_slot(cfg, keys4, txs)
     chain = ChainState(balances={2: 500})
-    chain, events = apply_penalty(chain, Equivocation(a, b), cfg, keys4)
+    chain = apply_penalty(chain, Equivocation(a, b), cfg, keys4)
     p = cfg.penalty_equivocation
     share = p // 3
     assert chain.balances[2] == 500 - p
     for i in (0, 1, 3):
         assert chain.balances[i] == share
     assert chain.total_burned == p - 3 * share
-    kinds = sorted(e.kind for e in events)
-    assert kinds == ["Penalty"] + ["Redistribution"] * 3
     # conservation holds whatever the rounding
     assert sum(chain.balances.values()) + chain.total_burned == \
         chain.total_minted + 500
@@ -597,3 +590,92 @@ def test_apply_penalty_rejects_bogus_evidence(cfg4, keys4, txs):
     with pytest.raises(InvalidEvidence):
         apply_penalty(chain, Equivocation(a, a), cfg4, keys4)
     assert chain.balances[2] == 500
+
+
+# --- finalize paths ---------------------------------------------------------
+# Each vote is checked where it arrives; the chain trusts the quorum it is
+# handed. These cases reach a node as a FinalizeMsg, whose quorum
+# collect_votes checks.
+
+@pytest.fixture
+def slot1():
+    """(sim, the slot-1 leader's block): N=4 nodes on seed 3 that began
+    slots 0 and 1 with nothing finalized."""
+    cfg = default_config(4, master_seed=3)
+    sim = Sim(cfg, FaultPlan(), LoadProfile(40.0, 10 * cfg.slot_ms()))
+    sim._schedule_load()
+    for slot in (0, 1):
+        sent = [o for node in sim.nodes
+                for o in node.begin_slot(slot, slot * sim.slot_ms)]
+    (proposal,) = sent
+    return sim, proposal.payload.block
+
+
+def _finalize(sim, block, votes, to=1):
+    """Deliver FinalizeMsg(block, votes) to node `to`; its chain's blocks."""
+    node = sim.nodes[to]
+    node.on_message(1.5 * sim.slot_ms, FinalizeMsg(block, tuple(votes)))
+    return node.chain.finalized
+
+
+def _signed_votes(sim, block, voters, slot=None):
+    slot = block.slot if slot is None else slot
+    return _votes_for(sim.keys, sim.cfg.n_validators, hash_block(block),
+                      slot=slot, voters=voters)
+
+
+def test_finalize_with_a_full_quorum_appends(slot1):
+    sim, block = slot1
+    assert _finalize(sim, block, _signed_votes(sim, block, [0, 1, 2])) \
+        == (block,)
+    assert sim.nodes[1].slot.quorum_size == 3
+    fees = sum(tx.fee for tx in block.txs)
+    assert sim.nodes[1].chain.total_minted == sim.cfg.r_base + fees \
+        + 3 * sim.cfg.r_vote
+
+
+def test_finalize_with_a_wrong_slot_vote_neither_appends_nor_raises(slot1):
+    sim, block = slot1
+    votes = (_signed_votes(sim, block, [0, 1])
+             + _signed_votes(sim, block, [2], slot=5))
+    assert _finalize(sim, block, votes) == ()
+
+
+def test_finalize_one_vote_short_does_not_append(slot1):
+    sim, block = slot1
+    assert _finalize(sim, block, _signed_votes(sim, block, [0, 1])) == ()
+
+
+def test_finalize_with_repeated_voters_does_not_append(slot1):
+    sim, block = slot1
+    assert _finalize(sim, block, _signed_votes(sim, block, [0, 0, 1])) == ()
+
+
+def test_finalize_with_a_forged_vote_signature_does_not_append(slot1):
+    sim, block = slot1
+    votes = _signed_votes(sim, block, [0, 1, 2])
+    votes[2] = replace(votes[2], signature=votes[0].signature)
+    assert _finalize(sim, block, votes) == ()
+
+
+def test_finalize_with_a_bad_block_signature_does_not_append(slot1):
+    sim, block = slot1
+    forged = replace(block, proposer_signature=crypto.sign(
+        sim.keys.sk(block.proposer.index), b"not this block"))
+    assert _finalize(sim, forged, _signed_votes(sim, forged, [0, 1, 2])) \
+        == ()
+
+
+def test_finalize_off_the_tip_waits_for_its_parent(slot1):
+    sim, block = slot1
+    leader = sim.keys.validator(2)
+    election = ElectionResult(leader=leader, fire_step=4,
+                              tie_set=frozenset([leader]), vrf_used=False)
+    child = propose(leader, sim.keys.sk(2), 2, hash_block(block), (),
+                    election, sim.cfg)
+    assert _finalize(sim, child, _signed_votes(sim, child, [1, 2, 3])) == ()
+    assert list(sim.nodes[1].pending_finalize) == [hash_block(block)]
+    assert _finalize(sim, block, _signed_votes(sim, block, [0, 1, 2])) \
+        == (block, child)
+    assert sim.nodes[1].pending_finalize == {}
+    assert sim.nodes[1].chain.check_integrity() == []

@@ -5,7 +5,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posn.core import ConfigError
+from posn.consensus import Keyring
+from posn.core import CLIENT_BASE, ConfigError
+from posn.crypto import keygen
 from posn.metrics import RunLog
 from posn.netsim import STRATEGIES, Sim
 from posn.scenario import build_scenario, load_scenario
@@ -90,6 +92,17 @@ def test_build_scenario_errors_name_the_key_path(spec, path):
     with pytest.raises(ConfigError) as info:
         build_scenario(spec)
     assert info.value.path == path
+
+
+def test_validator_count_stops_where_client_keys_begin():
+    # validator i signs with key index i and client j with CLIENT_BASE + j,
+    # so a validator CLIENT_BASE would hold client 0's key pair
+    assert Keyring(0, 1, n_clients=1).clients[0] == keygen(0, CLIENT_BASE)
+    assert build_scenario({"validators": {"n": CLIENT_BASE}}) \
+        .cfg.n_validators == CLIENT_BASE
+    with pytest.raises(ConfigError) as info:
+        build_scenario({"validators": {"n": CLIENT_BASE + 1}})
+    assert info.value.path == "validators.n"
 
 
 def test_build_scenario_reads_numbers_as_the_exports_expect():
