@@ -429,21 +429,6 @@ def apply_penalty(chain: ChainState, evidence: Evidence, cfg: Config,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Proposal:
-    block: Block
-
-
-@dataclass(frozen=True)
-class VoteMsg:
-    vote: Vote
-
-
-@dataclass(frozen=True)
-class EvidenceMsg:
-    evidence: Evidence
-
-
-@dataclass(frozen=True)
 class FinalizeMsg:
     """Finalization announcement: block plus its quorum certificate, so
     nodes whose own vote collection fell short can still append."""
@@ -451,7 +436,8 @@ class FinalizeMsg:
     votes: tuple[Vote, ...]
 
 
-Payload = Union[Proposal, VoteMsg, EvidenceMsg, FinalizeMsg]
+# a proposal travels as its block, a vote and evidence as themselves
+Payload = Union[Block, Vote, Equivocation, ForgedSpike, FinalizeMsg]
 
 BROADCAST = None
 
@@ -498,7 +484,10 @@ class Node:
     `view` gives the slot's `SlotView` (with its context) for the node's
     chain tip, shared by every node on that tip; `replay` serves only
     evidence found after the tip moved mid-slot; `protocol` picks only
-    the proposal's send time. A node judges each distinct proposal once
+    the proposal's send time. `on_message` routes each payload once, by
+    its type (`_HANDLERS`), and returns None for a proposal or vote of
+    another slot, which the harness counts as stale; the node is the one
+    place that decides this. A node judges each distinct proposal once
     per slot and keeps no verdict: a copy of a proposal it has judged
     changes nothing, so it returns at once. Each vote is checked once,
     where it arrives: `_on_vote` checks a single vote (slot, voter, key,
@@ -550,7 +539,7 @@ class Node:
             send_at = now + (election.fire_step + 1) * self.cfg.dt_ms
         else:
             send_at = now + self.cfg.overhead_ms(self.protocol)
-        return Outgoing(send_at=send_at, payload=Proposal(block))
+        return Outgoing(send_at=send_at, payload=block)
 
     def end_slot(self, slot: int, now: float) -> list[Outgoing]:
         if slot != self.slot.slot:
@@ -574,20 +563,16 @@ class Node:
 
     # -- message handling --------------------------------------------------
 
-    def on_message(self, now: float, payload: Payload) -> list[Outgoing]:
-        if isinstance(payload, Proposal):
-            return self._on_proposal(now, payload.block)
-        if isinstance(payload, VoteMsg):
-            return self._on_vote(now, payload.vote)
-        if isinstance(payload, FinalizeMsg):
-            return self._on_finalize(now, payload)
-        if isinstance(payload, EvidenceMsg):
-            return self._on_evidence(payload.evidence)
-        return []
+    def on_message(self, now: float,
+                   payload: Payload) -> Optional[list[Outgoing]]:
+        """The messages `payload` makes this node send; None when it is a
+        proposal or vote of a slot other than the one in progress."""
+        return _HANDLERS[type(payload)](self, now, payload)
 
-    def _on_proposal(self, now: float, block: Block) -> list[Outgoing]:
+    def _on_proposal(self, now: float, block: Block
+                     ) -> Optional[list[Outgoing]]:
         if block.slot != self.slot.slot:
-            return []
+            return None
         block_hash = hash_block(block)
         if block_hash in self.slot.validated:
             return []
@@ -604,7 +589,7 @@ class Node:
         # skipped still see it and equivocation becomes provable
         if self.slot.relayed < 4:
             self.slot.relayed += 1
-            out.append(Outgoing(send_at=now, payload=Proposal(block)))
+            out.append(Outgoing(send_at=now, payload=block))
 
         view = self.slot.view
         verdict = validate_proposal(
@@ -619,7 +604,7 @@ class Node:
                 and not self.slot.finalized:
             vote = make_vote(self.me, self.sk, self.slot.slot, block_hash)
             self.slot.voted = True
-            out.append(Outgoing(send_at=now, payload=VoteMsg(vote)))
+            out.append(Outgoing(send_at=now, payload=vote))
         # votes can outrun the proposal they refer to
         bucket = self.slot.votes.get(block_hash, ())
         if not self.slot.finalized \
@@ -639,9 +624,9 @@ class Node:
                         evidence: Evidence) -> list[Outgoing]:
         if not self._penalize(evidence):
             return []
-        return [Outgoing(send_at=now, payload=EvidenceMsg(evidence))]
+        return [Outgoing(send_at=now, payload=evidence)]
 
-    def _on_evidence(self, evidence: Evidence) -> list[Outgoing]:
+    def _on_evidence(self, now: float, evidence: Evidence) -> list[Outgoing]:
         # a forged spike counts only on the tip and spike set this node
         # began the slot with (a context is never falsy)
         if isinstance(evidence, Equivocation) or self._began_with(evidence):
@@ -668,10 +653,10 @@ class Node:
             return False
         return True
 
-    def _on_vote(self, now: float, vote: Vote) -> list[Outgoing]:
-        if vote.slot != self.slot.slot or self.slot.finalized:
-            return []
-        if vote.voter.index in self.slot.voted_indices:
+    def _on_vote(self, now: float, vote: Vote) -> Optional[list[Outgoing]]:
+        if vote.slot != self.slot.slot:
+            return None
+        if self.slot.finalized or vote.voter.index in self.slot.voted_indices:
             return []
         if not self.keys.known(vote.voter) or not self.keys.check(
                 vote.voter.pk, vote.signing_bytes(), vote.signature):
@@ -724,3 +709,9 @@ class Node:
         if check_signatures(msg.block, self.keys) is not None:
             return []
         return self._append(now, msg.block, quorum)
+
+
+# the one dispatch of a delivered payload, by its type
+_HANDLERS = {Block: Node._on_proposal, Vote: Node._on_vote,
+             Equivocation: Node._on_evidence, ForgedSpike: Node._on_evidence,
+             FinalizeMsg: Node._on_finalize}

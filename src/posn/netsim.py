@@ -16,6 +16,8 @@ pending pool is a function of the slot and the chain tip, so `Sim`
 builds it once per (slot, tip), from the pool of the nearest ancestor
 tip one slot earlier, and every node on that tip reads the same
 `SlotView`, with the only slot context computed for that (slot, tip).
+A message is the value it carries (a proposal is its `Block`); the node
+it reaches reports a proposal or vote of another slot as stale (None).
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ from typing import Collection, Iterable, Literal, Optional, Sequence, get_args
 from hashlib import blake2b
 
 from . import baselines, crypto
-from .consensus import (Keyring, Node, Outgoing, Payload, Proposal,
-                        SlotView, VoteMsg, compute_slot_context)
+from .consensus import (Equivocation, FinalizeMsg, ForgedSpike, Keyring,
+                        Node, Outgoing, Payload, SlotView,
+                        compute_slot_context)
 from .core import (CLIENT_BASE, AtLeast, Block, ChainState, Config,
-                   Transaction, check_fields, check_type, hash_block, i64,
-                   require, tx_signing_bytes, u64)
+                   Transaction, Vote, check_fields, check_type, hash_block,
+                   i64, require, tx_signing_bytes, u64)
 from .kernels import Stream, stream_key
 from .metrics import RunLog, conflicting_finalizations
 
@@ -96,12 +99,14 @@ def check_inputs(cfg: Config, plan: FaultPlan, load: LoadProfile,
             f"({slot_ms} ms)")
     require(len(plan.byzantine) <= cfg.f_max, "byzantine",
             f"{len(plan.byzantine)} Byzantine validators > f_max {cfg.f_max}")
-    for name, indexed in (("byzantine", plan.byzantine),
-                          ("crash_ms", plan.crash_ms),
-                          ("pob_scores", pob_scores or {})):
-        for i in indexed:
-            require(0 <= i < cfg.n_validators, f"{name}[{i}]",
-                    f"no validator {i} among {cfg.n_validators}")
+    named = [(f"{name}[{i}]", i) for name, indexed in (
+        ("byzantine", plan.byzantine), ("crash_ms", plan.crash_ms),
+        ("pob_scores", pob_scores or {})) for i in indexed]
+    named += [(f"partitions[{k}].side_a", i)
+              for k, p in enumerate(plan.partitions) for i in sorted(p.side_a)]
+    for where, i in named:
+        require(0 <= i < cfg.n_validators, where,
+                f"no validator {i} among {cfg.n_validators}")
     require(pob_scores is None or sum(pob_scores.values()) > 0,
             "pob_scores", "must not all be zero")
 
@@ -126,8 +131,12 @@ def sample_delay(now_ms: float, stream: Stream, cfg: Config,
 
 END, BEGIN, HEAL = range(3)  # the loop's clock runs them in this order
 
-# msg_counters name per payload type, built once
-_SENT_NAME = {cls: f"sent_{cls.__name__}" for cls in get_args(Payload)}
+# msg_counters name per payload type, spelled out: they are export bytes,
+# so no class rename may change them
+_SENT_NAME = {Block: "sent_Proposal", Vote: "sent_VoteMsg",
+              Equivocation: "sent_EvidenceMsg",
+              ForgedSpike: "sent_EvidenceMsg",
+              FinalizeMsg: "sent_FinalizeMsg"}
 
 
 def merge_pool(pool: Sequence[Transaction], new_txs: Iterable[Transaction],
@@ -150,16 +159,6 @@ def find_partition(partitions: tuple[Partition, ...], now_ms: float,
     return None
 
 
-def _stale(node: Node, payload: Payload) -> bool:
-    """A proposal or vote for a slot other than the one `node` is in."""
-    current = node.slot.slot
-    if isinstance(payload, Proposal):
-        return payload.block.slot != current
-    if isinstance(payload, VoteMsg):
-        return payload.vote.slot != current
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Byzantine strategies: filters on an honest node's outbound batches
 # ---------------------------------------------------------------------------
@@ -173,7 +172,7 @@ def apply_strategy(strategy: str, node: Node, held: list[Outgoing],
         return []
     if strategy == "Withhold":
         return [o for o in outgoing
-                if not isinstance(o.payload, (Proposal, VoteMsg))]
+                if not isinstance(o.payload, (Block, Vote))]
     if strategy == "DelayMax":
         held.extend(outgoing)
         if hook != "end":
@@ -185,7 +184,7 @@ def apply_strategy(strategy: str, node: Node, held: list[Outgoing],
         return _equivocate(node, outgoing)
     # ForgeSpike: a FaultPlan holds no other strategy
     if hook == "begin":
-        honest = [o for o in outgoing if not isinstance(o.payload, Proposal)]
+        honest = [o for o in outgoing if not isinstance(o.payload, Block)]
         return honest + forge_proposal(node)
     return list(outgoing)
 
@@ -195,16 +194,16 @@ def _equivocate(node: Node, outgoing: list[Outgoing]) -> list[Outgoing]:
     even validator indices, a conflicting signed variant B to odd ones."""
     out: list[Outgoing] = []
     for o in outgoing:
-        if not isinstance(o.payload, Proposal) \
-                or o.payload.block.proposer.index != node.index:
+        if not isinstance(o.payload, Block) \
+                or o.payload.proposer.index != node.index:
             out.append(o)
             continue
-        block_a = o.payload.block
+        block_a = o.payload
         block_b = conflicting_variant(node, block_a)
         for v in range(node.cfg.n_validators):
             variant = block_a if v % 2 == 0 else block_b
             out.append(Outgoing(send_at=o.send_at,
-                                payload=Proposal(variant), dest=v))
+                                payload=variant, dest=v))
     return out
 
 
@@ -218,7 +217,7 @@ def forge_proposal(node: Node) -> list[Outgoing]:
                      proposer_signature=crypto.sign(node.sk,
                                                     block.core_bytes()))
     send_at = node.slot.started_ms + node.cfg.dt_ms
-    return [Outgoing(send_at=send_at, payload=Proposal(signed))]
+    return [Outgoing(send_at=send_at, payload=signed)]
 
 
 def conflicting_variant(node: Node, block: Block) -> Block:
@@ -455,13 +454,16 @@ class Sim:
         heap = self.heap
         while heap and heap[0][0] < until:
             now, _, to, payload = heapq.heappop(heap)
-            node = self.nodes[to]
             if self._crashed(to, now):
                 self._count("dropped_crashed")
-            elif _stale(node, payload):
+                continue
+            outgoing = self.nodes[to].on_message(now, payload)
+            if outgoing is None:
                 self._count("dropped_stale")
-            else:
-                self._ship(to, node.on_message(now, payload), "msg", now)
+            elif outgoing:
+                # every strategy sends nothing for, and keeps nothing
+                # from, an empty "msg" batch (not so for begin and end)
+                self._ship(to, outgoing, "msg", now)
 
     def _heal(self, now: float) -> None:
         """Re-send everything held by partitions that just ended."""

@@ -147,7 +147,7 @@ def build_scenario(spec: dict, *, seed: Optional[int] = None,
     pob_scores = spec.get("pob_scores")
     _build(check_inputs, "",
            {"crash_ms": "faults.crash", "byzantine": "faults.byzantine",
-            "duration_ms": duration},
+            "partitions": "faults.partitions", "duration_ms": duration},
            cfg=cfg, plan=plan, load=load, protocol=protocol,
            pob_scores=pob_scores)
     return Scenario(name, protocol, cfg, plan, load, pob_scores)

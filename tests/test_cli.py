@@ -128,6 +128,8 @@ def test_report_matches_export(tmp_path, capsys):
     ("pob_scores: {0: 0, 1: 0, 2: 0, 3: 0}", "pob_scores"),
     # the rules that span inputs name the scenario key too
     ("faults: {crash: {9: 100}}", "faults.crash[9]"),
+    ("faults: {partitions: [{start_ms: 0, end_ms: 2000, side_a: [7, -1]}]}",
+     "faults.partitions[0].side_a"),
     ("faults: {byzantine: [{index: 4, strategy: Silent}]}",
      "faults.byzantine[4]"),
     ("faults: {byzantine: {0: Silent, 1: Silent}}", "faults.byzantine"),

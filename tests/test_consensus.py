@@ -608,7 +608,33 @@ def slot1():
         sent = [o for node in sim.nodes
                 for o in node.begin_slot(slot, slot * sim.slot_ms)]
     (proposal,) = sent
-    return sim, proposal.payload.block
+    return sim, proposal.payload
+
+
+def test_a_proposal_or_vote_of_another_slot_is_stale(slot1):
+    sim, block = slot1
+    node, now = sim.nodes[1], 1.5 * sim.slot_ms
+    voter = sim.keys.validator(0)
+    vote = make_vote(voter, sim.keys.sk(0), 1, hash_block(block))
+    assert node.on_message(now, vote) == []
+    slot = node.slot
+    before = (set(slot.validated), {h: list(v) for h, v in slot.votes.items()},
+              set(slot.voted_indices))
+    for other in (0, 2):
+        proposal = _resign(block, sim.keys, slot=other)
+        assert node.on_message(now, proposal) is None
+        assert node.on_message(now, replace(vote, slot=other)) is None
+    assert before == (slot.validated, slot.votes, slot.voted_indices)
+
+
+def test_evidence_and_finalize_of_another_slot_return_a_batch(slot1):
+    sim, block = slot1
+    node, now = sim.nodes[1], 1.5 * sim.slot_ms
+    a = _resign(block, sim.keys, slot=5)
+    b = _resign(a, sim.keys, claimed_fire_step=a.claimed_fire_step + 1)
+    for payload in (Equivocation(a, b), ForgedSpike(a, (), GENESIS_HASH),
+                    FinalizeMsg(a, tuple(_signed_votes(sim, a, [0, 1, 2])))):
+        assert isinstance(node.on_message(now, payload), list)
 
 
 def _finalize(sim, block, votes, to=1):

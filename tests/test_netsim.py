@@ -2,11 +2,13 @@ import collections
 import math
 from dataclasses import replace
 from hashlib import sha256
+from typing import get_args
 
 import pytest
 
 import posn.crypto as crypto
-from posn.consensus import Keyring, Node
+import posn.netsim as netsim
+from posn.consensus import Keyring, Node, Payload
 from posn.core import ConfigError, default_config, dumps_canonical, hash_block
 from posn.metrics import conflicting_finalizations, export, summarize
 from posn.netsim import (
@@ -392,6 +394,21 @@ def test_message_counters_present():
     log = run(cfg, FaultPlan(), _load(40.0, 4000.0))
     for key in ("sent_TxGossip", "sent_Proposal", "sent_VoteMsg"):
         assert log.msg_counters.get(key, 0) > 0
+
+
+def test_every_payload_type_has_an_export_name():
+    # a payload type without a name would raise KeyError mid-run
+    assert set(netsim._SENT_NAME) == set(get_args(Payload))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_no_strategy_acts_on_an_empty_msg_batch(cfg4, strategy):
+    # so the harness need not ship an empty batch a message produced
+    sim = Sim(cfg4, FaultPlan(byzantine={0: strategy}), _load())
+    node, held = sim.nodes[0], []
+    node.begin_slot(0, 0.0)
+    assert netsim.apply_strategy(strategy, node, held, [], "msg") == []
+    assert held == []
 
 
 # --- baselines through the simulator ----------------------------------------

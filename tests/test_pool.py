@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import posn.netsim as netsim
-from posn.consensus import EvidenceMsg, ForgedSpike, Proposal
+from posn.consensus import ForgedSpike
 from posn.core import (GENESIS_HASH, Block, ChainState, Transaction,
                        default_config, select_mempool)
 from posn.crypto import Signature, sign
@@ -221,8 +221,8 @@ def test_nodes_judge_forged_spikes_by_the_context_their_slot_began_with(
                                     for f in tx.__dataclass_fields__})
                      for tx in view.spike_txs)
         assert copy == view.spike_txs and copy[0] is not view.spike_txs[0]
-        sim.nodes[0].on_message(now, EvidenceMsg(
-            ForgedSpike(forged, copy, GENESIS_HASH)))
+        sim.nodes[0].on_message(now,
+                                ForgedSpike(forged, copy, GENESIS_HASH))
         assert [(e.validator, e.slot, e.reason)
                 for e in sim.nodes[0].chain.penalties_log] == [
             (liar, slot, "forged_spike")]
@@ -231,7 +231,7 @@ def test_nodes_judge_forged_spikes_by_the_context_their_slot_began_with(
         for evidence in (ForgedSpike(forged, view.spike_txs, b"\x07" * 32),
                          ForgedSpike(forged, view.spike_txs[1:],
                                      GENESIS_HASH)):
-            sim.nodes[1].on_message(now, EvidenceMsg(evidence))
+            sim.nodes[1].on_message(now, evidence)
         assert sim.nodes[1].chain.penalties_log == ()
         assert sim.nodes[1].evidence_seen == set()
 
@@ -242,14 +242,14 @@ def test_nodes_judge_forged_spikes_by_the_context_their_slot_began_with(
     node.chain = replace(node.chain, finalized=(earlier,))
     on_new_tip = _signed(sim, liar, slot, node.chain.tip_hash,
                          view.block_txs)
-    node.on_message(now, Proposal(on_new_tip))
+    node.on_message(now, on_new_tip)
     judge, _, verdict = verdicts[-1]
     assert judge == 2 and verdict.reason in ("SpikeMismatch", "NotElected")
     assert ("forged_spike", liar, slot) in node.evidence_seen
     assert replays == {2: 1}
     # a second forgery by the same proposer is already proven
-    node.on_message(now, Proposal(_signed(sim, liar, slot, node.chain.tip_hash,
-                                          view.block_txs, 1)))
+    node.on_message(now, _signed(sim, liar, slot, node.chain.tip_hash,
+                                 view.block_txs, 1))
     judge, _, verdict = verdicts[-1]
     assert judge == 2 and verdict.reason in ("SpikeMismatch", "NotElected")
     assert replays == {2: 1}

@@ -87,6 +87,10 @@ def test_build_scenario_rejects_unknown_keys(spec):
      "faults.partitions[0].side_a[1]"),
     ({"protocol": "pow"}, "protocol"),
     ({"name": None}, "name"),
+    ({"faults": {"partitions": [{"start_ms": 1, "end_ms": 9, "side_a": [0]},
+                                {"start_ms": 1, "end_ms": 9,
+                                 "side_a": [4]}]}},
+     "faults.partitions[1].side_a"),
 ])
 def test_build_scenario_errors_name_the_key_path(spec, path):
     with pytest.raises(ConfigError) as info:
