@@ -20,7 +20,7 @@ from . import crypto
 from .core import (CLIENT_BASE, Block, ChainState, Config, PenaltyEntry,
                    PosnError, Transaction, ValidatorId, Vote, append_block,
                    hash_block, select_mempool, u64, vote_signing_bytes)
-from .neuro import SlotSeed, first_spike_step, make_slot_seed, spike_params
+from .neuro import SlotSeed, fire_steps, make_slot_seed
 
 # slot outcomes; Skipped is the timeout exit
 FINALIZED = "Finalized"
@@ -234,9 +234,7 @@ def check_signatures(block: Block, keys: Keyring) -> Optional[str]:
 def compute_fire_steps(validators: Sequence[ValidatorId],
                        spike_txs: Sequence[Transaction], seed: SlotSeed,
                        cfg: Config) -> dict[ValidatorId, Optional[int]]:
-    params = spike_params(spike_txs, cfg)
-    return {vid: first_spike_step(vid, spike_txs, seed, cfg, params=params)
-            for vid in validators}
+    return dict(zip(validators, fire_steps(validators, spike_txs, seed, cfg)))
 
 
 # context computed once per (slot, parent, spike set), kept in that slot's

@@ -425,6 +425,7 @@ class Sim:
         self._schedule_load()
         duration = self.load.duration_ms
         ms, n_slots = self.slot_ms, self.n_slots
+        crashes = self.plan.crash_ms
         clock = sorted([(s * ms, END, s - 1) for s in range(1, n_slots + 1)]
                        + [(s * ms, BEGIN, s) for s in range(n_slots)]
                        + [(p.end_ms, HEAL, -1) for p in self.plan.partitions
@@ -439,7 +440,7 @@ class Sim:
                 self._views = {k: v for k, v in self._views.items()
                                if k[0] == slot - 1}
             for i, node in enumerate(self.nodes):
-                if self._crashed(i, at):
+                if crashes and self._crashed(i, at):
                     self._count("dropped_crashed")
                 elif step == BEGIN:
                     self._ship(i, node.begin_slot(slot, at), "begin", at)
@@ -451,10 +452,10 @@ class Sim:
     def _deliver_before(self, until: float) -> None:
         """Deliver every message due before `until`, and those they send,
         in (deliver_at, seq) order."""
-        heap = self.heap
+        heap, crashes = self.heap, self.plan.crash_ms
         while heap and heap[0][0] < until:
             now, _, to, payload = heapq.heappop(heap)
-            if self._crashed(to, now):
+            if crashes and self._crashed(to, now):
                 self._count("dropped_crashed")
                 continue
             outgoing = self.nodes[to].on_message(now, payload)

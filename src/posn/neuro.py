@@ -11,13 +11,15 @@ The earliest step at which V reaches theta is the validator's election
 bid. The race ends at that first crossing, so the neuron never resets.
 The whole pipeline must be replayable bit-for-bit by any peer, so the
 stochastic trains draw from counter-based streams keyed by a seed only
-available once the slot's transaction set is fixed. `kernels.first_fire`
-is the one neuron.
+available once the slot's transaction set is fixed.
 
-A race replays every validator over one spike set. The per-tx rates,
-intervals and weights (`spike_params`) do not depend on the validator,
-so they are computed once per spike set and shared; only the stream
-keys (`tx_stream_keys`) are derived per validator.
+A race replays every validator over one spike set in one
+`kernels.first_fire` call: one row of per-tx stream keys
+(`tx_stream_keys`) per validator, and the per-tx rates, intervals and
+weights (`spike_params`), which do not depend on the validator, shared
+by all rows. Each row drops out at its own first crossing, and its draws
+do not depend on which other rows are still racing, so a race equals N
+one-row replays (`first_spike_step`).
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def weight_for(tx: Transaction, cfg: Config) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-validator replay
+# the race
 # ---------------------------------------------------------------------------
 
 def encoding_flags(cfg: Config) -> tuple[bool, bool]:
@@ -118,11 +120,8 @@ def encoding_flags(cfg: Config) -> tuple[bool, bool]:
             cfg.encoding in ("temporal", "both"))
 
 
-# per-tx kernel parameters of one spike set: (probs, isis, weights)
-SpikeParams = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def spike_params(txs: Sequence[Transaction], cfg: Config) -> SpikeParams:
+def spike_params(txs: Sequence[Transaction], cfg: Config
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-tx rate probabilities, intervals and weights; they do not
     depend on the validator. Each probability is below r_max*dt, which a
     Config keeps below 1."""
@@ -133,29 +132,35 @@ def spike_params(txs: Sequence[Transaction], cfg: Config) -> SpikeParams:
     return probs, isis, weights
 
 
-def spike_inputs(txs: Sequence[Transaction], seed: SlotSeed, cfg: Config,
-                 params: Optional[SpikeParams] = None
+def spike_inputs(txs: Sequence[Transaction], seed: SlotSeed,
+                 validators: Sequence[ValidatorId], cfg: Config
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-tx kernel arrays (keys, probs, isis, weights) under a
-    validator-mixed seed. `params` are the spike set's `spike_params`,
-    computed here when absent."""
-    if params is None:
-        params = spike_params(txs, cfg)
-    return (tx_stream_keys(seed, [tx.id for tx in txs]),) + params
+    """Kernel arrays (keys, probs, isis, weights) of a race: row i of the
+    (validators, txs) key matrix holds the per-tx stream keys under
+    validator i's mixed seed, and the per-tx `spike_params` are shared
+    by every row."""
+    ids = [tx.id for tx in txs]
+    keys = np.array([tx_stream_keys(mix_validator(seed, v.index), ids)
+                     for v in validators], dtype=np.uint64)
+    return (keys.reshape(len(validators), len(ids)),) \
+        + spike_params(txs, cfg)
+
+
+def fire_steps(validators: Sequence[ValidatorId], txs: Sequence[Transaction],
+               seed: SlotSeed, cfg: Config) -> list[Optional[int]]:
+    """Earliest micro-step at which each validator's neuron fires for the
+    given transaction set, or None if it stays below threshold for the
+    whole slot: one kernel call, one row per validator."""
+    use_rate, use_temporal = encoding_flags(cfg)
+    steps = kernels.first_fire(*spike_inputs(txs, seed, validators, cfg),
+                               cfg.tau_steps, cfg.v_reset, cfg.decay,
+                               cfg.theta, use_rate, use_temporal)
+    return [None if step < 0 else step for step in steps]
 
 
 def first_spike_step(validator: ValidatorId, txs: Sequence[Transaction],
-                     seed: SlotSeed, cfg: Config,
-                     params: Optional[SpikeParams] = None) -> Optional[int]:
-    """Earliest micro-step at which this validator's neuron fires for the
-    given transaction set, or None if it stays below threshold for the
-    whole slot. Pure function of its arguments; this is the replay that
-    peers run to validate a leader's claim. A caller replaying several
-    validators over one spike set passes its `spike_params` once."""
-    vseed = mix_validator(seed, validator.index)
-    keys, probs, isis, weights = spike_inputs(txs, vseed, cfg, params)
-    use_rate, use_temporal = encoding_flags(cfg)
-    step = kernels.first_fire(keys, probs, isis, weights, cfg.tau_steps,
-                              cfg.v_reset, cfg.decay, cfg.theta, use_rate,
-                              use_temporal)
-    return None if step < 0 else step
+                     seed: SlotSeed, cfg: Config) -> Optional[int]:
+    """One validator's fire step, a one-row race. Pure function of its
+    arguments; this is the replay that peers run to validate a leader's
+    claim."""
+    return fire_steps([validator], txs, seed, cfg)[0]

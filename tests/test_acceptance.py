@@ -46,9 +46,9 @@ def test_01_lif_decay_matches_closed_form():
     for s in probes:
         closed = v0 * math.exp(-lam * dt * s)
         assert lif_first_fire_from_current(
-            itertools.repeat(0.0, s), v0, decay, closed - tol) >= 0, s
+            itertools.repeat(0.0, s), v0, decay, closed - tol)[0] >= 0, s
         assert lif_first_fire_from_current(
-            itertools.repeat(0.0, s), v0, decay, closed + tol) == -1, s
+            itertools.repeat(0.0, s), v0, decay, closed + tol)[0] == -1, s
     wall = time.time() - t0
     assert wall < 1.0
     _ok("c01 lif-decay", f"steps<=100000 probes={len(probes)} "

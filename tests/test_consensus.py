@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from posn import crypto
+from posn import crypto, kernels
 from posn.consensus import (
     ElectionResult,
     Equivocation,
@@ -28,6 +28,7 @@ from posn.consensus import (
 )
 from posn.core import (GENESIS_HASH, ChainState, default_config, hash_block,
                        select_mempool)
+from posn.kernels import first_fire
 from posn.netsim import FaultPlan, LoadProfile, Sim
 from posn.neuro import first_spike_step, make_slot_seed
 
@@ -85,11 +86,31 @@ def test_elect_leader_tie_depends_on_slot_and_parent(keys7):
     assert len(winners) > 3  # the tie-break rotates rather than fixating
 
 
-def test_compute_fire_steps_matches_single_replay(cfg4, keys4, txs):
+def test_compute_fire_steps_matches_single_replay(keys7, monkeypatch):
+    rows = []
+
+    def counting(keys, *args):
+        rows.append(len(keys))
+        return first_fire(keys, *args)
+
+    monkeypatch.setattr(kernels, "first_fire", counting)
+    txs = make_txs(24, 3, stores=(keys7,))
     seed = make_slot_seed(GENESIS_HASH, 2, txs)
-    steps = compute_fire_steps(keys4.validators, txs, seed, cfg4)
-    for v in keys4.validators:
-        assert steps[v] == first_spike_step(v, txs, seed, cfg4)
+    for encoding in ("rate", "temporal", "both"):
+        # sparse enough that the rows fire apart, and late in a temporal
+        # race
+        cfg = default_config(7, master_seed=1002, encoding=encoding,
+                             kappa=1e6)
+        rows.clear()
+        steps = compute_fire_steps(keys7.validators, txs, seed, cfg)
+        # the race is one kernel call with a row per validator
+        assert rows == [7]
+        # only the rate trains depend on the validator
+        assert (len(set(steps.values())) > 1) == (encoding != "temporal")
+        assert None not in steps.values()
+        for v in keys7.validators:
+            assert steps[v] == first_spike_step(v, txs, seed, cfg)
+        assert rows == [7] + [1] * 7
 
 
 # --- propose / validate -----------------------------------------------------
@@ -309,9 +330,9 @@ def _assert_ctx_decides(cfg, keys, mempool, cases, monkeypatch):
 
     # the given slot context decides: no neuron is replayed again
     def no_replay(*args):
-        raise AssertionError("first_spike_step called despite ctx")
+        raise AssertionError("first_fire called despite ctx")
 
-    monkeypatch.setattr("posn.consensus.first_spike_step", no_replay)
+    monkeypatch.setattr("posn.kernels.first_fire", no_replay)
     verdicts = [validate_proposal(blk, slot, parent, mempool, cfg, keys,
                                   contexts[(slot, parent)])
                 for _, blk, slot, parent in cases]
@@ -505,9 +526,9 @@ def _assert_replay_agrees(cfg, keys, cases, monkeypatch):
 
     # with the slot's context computed beforehand, no neuron is replayed
     def no_replay(*args, **kwargs):
-        raise AssertionError("first_spike_step called despite ctx")
+        raise AssertionError("first_fire called despite ctx")
 
-    monkeypatch.setattr("posn.consensus.first_spike_step", no_replay)
+    monkeypatch.setattr("posn.kernels.first_fire", no_replay)
     assert _evidence_verdicts(cfg, keys, cases,
                               lambda ev: contexts[id(ev)]) == plain
 

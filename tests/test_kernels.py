@@ -1,4 +1,5 @@
 import collections
+import itertools
 import subprocess
 import sys
 
@@ -140,6 +141,18 @@ def test_spike_trains_stack_rate_rows_first():
                              + _temporal_trains(isis, 29)[:, 4:].tolist())
 
 
+def test_spike_trains_broadcast_over_rows_of_keys():
+    keys = np.array([[stream_key(b"a"), stream_key(b"b")],
+                     [stream_key(b"c"), stream_key(b"d")]], dtype=np.uint64)
+    probs, isis = np.array([0.4, 0.7]), np.array([3, 5])
+    for flags in [(True, False), (False, True), (True, True)]:
+        rows = spike_trains(keys, probs, isis, 4, 29, *flags)
+        assert rows.shape == (2, 2 * sum(flags), 25)
+        assert rows.tolist() == [
+            spike_trains(row, probs, isis, 4, 29, *flags).tolist()
+            for row in keys]
+
+
 def test_composite_current_sums_weights():
     rate = np.array([[True, False], [True, True]])
     temp = np.array([[False, True], [True, False]])
@@ -166,12 +179,17 @@ def _random_case(rng):
             use_temporal)
 
 
+def _one_row(case):
+    """The case's keys as the one row of a race, and that row's step."""
+    return first_fire(case[0][None, :], *case[1:])[0]
+
+
 def test_first_fire_matches_whole_matrix_reference():
     rng = np.random.default_rng(11)
     seen = collections.Counter()
     for _ in range(6000):
         case = _random_case(rng)
-        got = first_fire(*case)
+        got = _one_row(case)
         assert got == _whole_matrix_first_fire(*case), case
         k, n_steps, v0 = len(case[0]), case[4], case[5]
         seen["K=0"] += k == 0
@@ -187,6 +205,47 @@ def test_first_fire_matches_whole_matrix_reference():
     assert len(seen) == 10 and min(seen.values()) >= 20, seen
 
 
+def _random_race(rng):
+    """A race of random N <= 32 rows over K <= 300 txs: per-row keys, and
+    everything else shared, as in `_random_case`."""
+    n = int(rng.integers(1, 33))
+    k = int(rng.integers(1, 301)) if rng.random() > 0.05 else 0
+    n_steps = int(rng.integers(0, 260))
+    keys = rng.integers(0, 2**64, size=(n, k), dtype=np.uint64)
+    probs = rng.uniform(0.0, 0.05, size=k)
+    isis = rng.integers(1, 400, size=k)
+    weights = rng.uniform(0.5, 2.0, size=k)
+    decay = float(rng.uniform(0.9, 0.999))
+    # around the load's mean steady potential, so rows split between
+    # firing early, firing late and never firing
+    load = float(np.sum(weights * probs) + np.sum(weights / isis))
+    theta = float(rng.uniform(0.3, 1.5) * (load + 0.01) / (1.0 - decay))
+    use_rate, use_temporal = [(True, False), (False, True),
+                              (True, True)][int(rng.integers(0, 3))]
+    v0 = float(rng.uniform(-0.5, 0.5) * theta)
+    return (keys, probs, isis, weights, n_steps, v0, decay, theta, use_rate,
+            use_temporal)
+
+
+def test_batched_first_fire_equals_each_one_row_call():
+    rng = np.random.default_rng(24)
+    seen = collections.Counter()
+    for _ in range(250):
+        race = _random_race(rng)
+        got = first_fire(*race)
+        rows = [_one_row((keys,) + race[1:]) for keys in race[0]]
+        assert got == rows, race[4:]
+        fired = {step // CHUNK_STEPS for step in got if step >= 0}
+        seen["K=0"] += race[0].shape[1] == 0
+        seen["T not a multiple"] += race[4] % CHUNK_STEPS != 0
+        seen["rows fire in different chunks"] += len(fired) > 1
+        seen["a row never fires"] += race[0].shape[1] > 0 and -1 in got
+        seen["a row fires, another never"] += len(fired) > 0 and -1 in got
+        seen["v0 < 0"] += race[5] < 0
+        seen[race[8:]] += 1
+    assert len(seen) == 9 and min(seen.values()) >= 8, seen
+
+
 @pytest.mark.parametrize("isi, fires_at", [
     (CHUNK_STEPS, CHUNK_STEPS - 1),      # last step of the first chunk
     (CHUNK_STEPS + 1, CHUNK_STEPS),      # first step of the second chunk
@@ -196,24 +255,57 @@ def test_first_fire_crossing_at_a_chunk_boundary(isi, fires_at):
     # one temporal train whose first spike alone reaches the threshold
     case = (np.zeros(1, np.uint64), np.zeros(1), np.array([isi]),
             np.array([1.0]), 3 * CHUNK_STEPS, 0.0, 0.9, 1.0, False, True)
-    assert first_fire(*case) == _whole_matrix_first_fire(*case) == fires_at
+    assert _one_row(case) == _whole_matrix_first_fire(*case) == fires_at
     # a slot that ends just before the spike never fires
     short = case[:4] + (fires_at,) + case[5:]
-    assert first_fire(*short) == _whole_matrix_first_fire(*short) == -1
+    assert _one_row(short) == _whole_matrix_first_fire(*short) == -1
+
+
+def _key_first_spiking_at(step, p):
+    """A stream key whose rate train at probability p first fires at
+    `step`."""
+    def fires(key, t):
+        return (Stream(key).at(t) >> 11) * 2.0 ** -53 < p
+    return next(key for key in itertools.count()
+                if fires(key, step) and not any(fires(key, t)
+                                                for t in range(step)))
+
+
+def _first_spike_race(*first_steps):
+    """A race of one rate train at probability 0.1 whose first spike
+    alone reaches the threshold; row r first spikes at first_steps[r]."""
+    keys = np.array([[_key_first_spiking_at(t, 0.1)] for t in first_steps],
+                    dtype=np.uint64)
+    return (keys, np.array([0.1]), np.array([1]), np.array([1.0]),
+            3 * CHUNK_STEPS, 0.0, 0.9, 1.0, True, False)
+
+
+def test_batched_crossing_at_a_chunk_boundary():
+    # rows that cross on either side of each chunk boundary, and one
+    # whose slot ends first
+    steps = [CHUNK_STEPS - 1, CHUNK_STEPS, 2 * CHUNK_STEPS - 1,
+             2 * CHUNK_STEPS, 3 * CHUNK_STEPS]
+    race = _first_spike_race(*steps)
+    assert first_fire(*race) == steps[:-1] + [-1]
+    assert [_one_row((row,) + race[1:]) for row in race[0]] == \
+        steps[:-1] + [-1]
 
 
 def test_first_fire_draws_nothing_after_the_crossing(monkeypatch):
     windows = []
 
     def recording(keys, probs, isis, t0, t1, *flags):
-        windows.append((t0, t1))
+        windows.append((len(keys), t0, t1))
         return spike_trains(keys, probs, isis, t0, t1, *flags)
 
     monkeypatch.setattr(kernels, "spike_trains", recording)
-    case = (np.zeros(1, np.uint64), np.zeros(1), np.array([CHUNK_STEPS + 1]),
-            np.array([1.0]), 250, 0.0, 0.9, 1.0, False, True)
-    assert first_fire(*case) == CHUNK_STEPS
-    assert windows == [(0, CHUNK_STEPS), (CHUNK_STEPS, 2 * CHUNK_STEPS)]
+    # row 1 fires in the second chunk and drops out; once row 0 has
+    # fired in the third, no later window is drawn
+    race = _first_spike_race(2 * CHUNK_STEPS, CHUNK_STEPS + 1)
+    race = race[:4] + (250,) + race[5:]
+    assert first_fire(*race) == [2 * CHUNK_STEPS, CHUNK_STEPS + 1]
+    assert windows == [(2, 0, CHUNK_STEPS), (2, CHUNK_STEPS, 2 * CHUNK_STEPS),
+                       (1, 2 * CHUNK_STEPS, 3 * CHUNK_STEPS)]
 
 
 def test_first_fire_from_current_matches_loop():
@@ -229,7 +321,7 @@ def test_first_fire_from_current_matches_loop():
             if v >= 1.0:
                 want = t
                 break
-        assert got == want
+        assert got == (want, v)
 
 
 def _lfilter_first_fire(current, v0, decay, theta):
@@ -247,22 +339,22 @@ def test_first_fire_from_current_matches_lfilter():
         decay = rng.uniform(0.5, 0.99)
         theta = rng.uniform(0.5, 3.0)
         v0 = rng.uniform(-theta, theta)
-        assert lif_first_fire_from_current(current, v0, decay, theta) == \
-            _lfilter_first_fire(current, v0, decay, theta)
+        assert lif_first_fire_from_current(current, v0, decay, theta)[0] \
+            == _lfilter_first_fire(current, v0, decay, theta)
     # v lands exactly on theta at step 2: 0.5, 0.75, 1.0 with decay 0.5
     exact = np.array([0.5, 0.5, 0.625, 0.0])
-    assert lif_first_fire_from_current(exact, 0.0, 0.5, 1.0) == 2
+    assert lif_first_fire_from_current(exact, 0.0, 0.5, 1.0) == (2, 1.0)
     assert _lfilter_first_fire(exact, 0.0, 0.5, 1.0) == 2
     # never fires: the potential settles at 0.1/(1-0.5) = 0.2 < theta
     quiet = np.full(200, 0.1)
-    assert lif_first_fire_from_current(quiet, 0.0, 0.5, 1.0) == -1
+    assert lif_first_fire_from_current(quiet, 0.0, 0.5, 1.0)[0] == -1
     assert _lfilter_first_fire(quiet, 0.0, 0.5, 1.0) == -1
 
 
 def test_first_fire_empty_input():
-    empty = np.array([], dtype=np.uint64)
+    empty = np.zeros((3, 0), dtype=np.uint64)
     assert first_fire(empty, np.array([]), np.array([], dtype=np.int64),
-                      np.array([]), 100, 0.0, 0.9, 1.0) == -1
+                      np.array([]), 100, 0.0, 0.9, 1.0) == [-1, -1, -1]
 
 
 def test_cli_import_loads_no_scipy_or_numba():

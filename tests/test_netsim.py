@@ -255,14 +255,21 @@ def test_forged_spikes_never_finalize_without_election():
 
 
 def test_evidence_costs_no_replay(monkeypatch):
-    # every neuron replay happens inside a slot context, N per context,
-    # so checking equivocation and forged-spike evidence replays nothing
+    # every neuron replay happens inside a slot context, N kernel rows per
+    # context, so checking equivocation and forged-spike evidence replays
+    # nothing
     import posn.consensus as consensus
+    import posn.kernels as kernels
     import posn.netsim as netsim
 
     calls = collections.Counter()
-    monkeypatch.setattr(consensus, "first_spike_step", _counting(
-        calls, "first_spike_step", consensus.first_spike_step))
+    first_fire = kernels.first_fire
+
+    def counting_rows(keys, *args):
+        calls["kernel rows"] += len(keys)
+        return first_fire(keys, *args)
+
+    monkeypatch.setattr(kernels, "first_fire", counting_rows)
     ctx = _counting(calls, "compute_slot_context",
                     consensus.compute_slot_context)
     monkeypatch.setattr(consensus, "compute_slot_context", ctx)
@@ -276,7 +283,7 @@ def test_evidence_costs_no_replay(monkeypatch):
     assert {p["reason"] for p in log.penalties} == {"equivocation",
                                                     "forged_spike"}
     assert calls["apply_penalty"] > 0
-    assert calls["first_spike_step"] == 7 * calls["compute_slot_context"]
+    assert calls["kernel rows"] == 7 * calls["compute_slot_context"]
     assert calls["compute_slot_context"] <= 6
 
 

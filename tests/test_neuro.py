@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from posn.core import GENESIS_HASH, ConfigError, default_config
@@ -15,6 +16,7 @@ from posn.neuro import (
     rate_for,
     spike_inputs,
     spike_params,
+    tx_stream_keys,
     weight_for,
 )
 
@@ -26,16 +28,18 @@ def test_lif_decay_oracle():
     # one exact-decay step from V=0.5 with lam=0.1, dt=1, no input: the
     # scan crosses a threshold at that value and not the next float above
     v = 0.45241870901797976
-    assert lif_first_fire_from_current([0.0], 0.5, math.exp(-0.1), v) == 0
+    assert lif_first_fire_from_current([0.0], 0.5, math.exp(-0.1), v) == \
+        (0, v)
     assert lif_first_fire_from_current(
-        [0.0], 0.5, math.exp(-0.1), math.nextafter(v, 1.0)) == -1
+        [0.0], 0.5, math.exp(-0.1), math.nextafter(v, 1.0)) == (-1, v)
 
 
 def test_lif_threshold_crossing():
     # 0.9*e^-0.1 + 0.2 = 1.01435... >= theta; with 0.15 it stays below
     decay = math.exp(-0.1)
-    assert lif_first_fire_from_current([0.2], 0.9, decay, 1.0) == 0
-    assert lif_first_fire_from_current([0.15, 0.0], 0.9, decay, 1.0) == -1
+    assert lif_first_fire_from_current([0.2], 0.9, decay, 1.0)[0] == 0
+    assert lif_first_fire_from_current([0.15, 0.0], 0.9, decay, 1.0)[0] \
+        == -1
 
 
 def test_rate_for_oracle(cfg4):
@@ -65,16 +69,18 @@ def test_rate_code_raises_on_saturated_probability(cfg4):
 
 
 def test_spike_params_are_shared_across_validators(cfg7, keys7):
+    # a race's inputs: one row of stream keys per validator, under its
+    # mixed seed, and one set of per-tx parameters for all rows
     txs = make_txs(61, 40)
     seed = make_slot_seed(GENESIS_HASH, 2, txs)
-    params = spike_params(txs, cfg7)
-    for v in keys7.validators:
-        assert first_spike_step(v, txs, seed, cfg7, params=params) == \
-            first_spike_step(v, txs, seed, cfg7)
-        vseed = mix_validator(seed, v.index)
-        shared = spike_inputs(txs, vseed, cfg7, params)
-        for got, want in zip(shared, spike_inputs(txs, vseed, cfg7)):
-            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    keys, *params = spike_inputs(txs, seed, keys7.validators, cfg7)
+    assert keys.dtype == np.uint64 and keys.shape == (7, 40)
+    for v, row in zip(keys7.validators, keys):
+        want = tx_stream_keys(mix_validator(seed, v.index),
+                              [tx.id for tx in txs])
+        assert row.tolist() == want.tolist()
+    for got, want in zip(params, spike_params(txs, cfg7)):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 def test_isi_for_oracle(cfg4):
@@ -88,13 +94,13 @@ def test_weight_for(cfg4):
     assert weight_for(make_tx(0, fee=1000), cfg4) == 1.5
 
 
-def test_validator_mix_changes_trains(cfg4, txs):
+def test_validator_mix_changes_trains(cfg4, keys4, txs):
     seed = make_slot_seed(GENESIS_HASH, 0, txs)
     a, b = mix_validator(seed, 0), mix_validator(seed, 1)
     assert a != b
     assert mix_validator(seed, 0) == a
-    keys_a = spike_inputs(txs, a, cfg4)[0].tolist()
-    keys_b = spike_inputs(txs, b, cfg4)[0].tolist()
+    keys_a, keys_b = spike_inputs(txs, seed, keys4.validators[:2],
+                                  cfg4)[0].tolist()
     assert keys_a[0] != keys_b[0]
     assert keys_a[0] != keys_a[1]
     # the prefix-copied keys are the contract's blake2b(tag, seed, tx id)

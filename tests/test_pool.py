@@ -213,10 +213,10 @@ def test_nodes_judge_forged_spikes_by_the_context_their_slot_began_with(
     # the node's tip and an equal but distinct spike tuple: penalized by
     # the stored context, with no neuron replayed
     def no_replay(*args, **kwargs):
-        raise AssertionError("first_spike_step called despite a stored ctx")
+        raise AssertionError("first_fire called despite a stored ctx")
 
     with monkeypatch.context() as patched:
-        patched.setattr("posn.consensus.first_spike_step", no_replay)
+        patched.setattr("posn.kernels.first_fire", no_replay)
         copy = tuple(Transaction(**{f: getattr(tx, f)
                                     for f in tx.__dataclass_fields__})
                      for tx in view.spike_txs)
