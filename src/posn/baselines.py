@@ -49,7 +49,8 @@ def pob_elect(slot: int, scores: ContributionScore,
     """
     ordered = sorted(scores.items(), key=lambda kv: kv[0].index)
     total = sum(s for _, s in ordered)
-    u = Stream(stream_key(u64(seed), b"pob", u64(slot))).next_float()
+    draw = Stream(stream_key(u64(seed), b"pob", u64(slot))).at(0)
+    u = (draw >> 11) * 2.0 ** -53  # uniform in [0, 1), 53 bits
     target = u * total
     acc = 0.0
     for vid, s in ordered:

@@ -23,7 +23,6 @@ import numpy as np
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MASK = 0xFFFFFFFFFFFFFFFF
-_INV_2_53 = 2.0 ** -53
 
 # There is no compiled path. The benchmark's environment record
 # (perfbench/worker.py) still reads this name, so it stays.
@@ -67,34 +66,26 @@ def stream_key(*parts: bytes) -> int:
 class Stream:
     """Counter-based random stream: draw i of key k is mix64(k+(i+1)*G).
 
-    Stateless draws are available through `at`; the instance also keeps a
-    cursor for call sites that want sequential behaviour. Construction
-    order alone fixes every value, so replays are exact.
+    Every draw is addressed by its counter alone, so `draws` over a range
+    equals the `at` calls it stands for, and replays are exact however
+    the draws are batched.
     """
 
-    __slots__ = ("key", "_cursor")
+    __slots__ = ("key",)
 
     def __init__(self, key: int):
         self.key = key & _MASK
-        self._cursor = 0
 
     def at(self, i: int) -> int:
         return mix64((self.key + (i + 1) * GOLDEN) & _MASK)
 
-    def next_u64(self) -> int:
-        out = self.at(self._cursor)
-        self._cursor += 1
-        return out
-
-    def next_float(self) -> float:
-        """Uniform in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * _INV_2_53
-
-    def next_int(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi] (inclusive)."""
-        if hi < lo:
-            raise ValueError("empty range")
-        return lo + self.next_u64() % (hi - lo + 1)
+    def draws(self, start: int, n: int) -> list[int]:
+        """[at(i) for i in range(start, start + n)], in one vector pass."""
+        z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            z *= np.uint64(GOLDEN)
+            z += np.uint64(self.key)
+        return _mix64_np(z).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ by delta after GST, 10x that before), partitions that hold cross-cut
 traffic until heal, node crashes, and the five Byzantine strategies as
 filters that `Sim` applies to the batches an otherwise honest node
 returns. Client transactions are not messages: the load is one schedule
-of signed txs, each eligible once every validator would hold it. The
+of signed txs, each eligible once every validator would hold it. Tx c
+arrives at draw c of the `arrivals` stream and takes its receiver, value
+and fee from draws 3c, 3c+1 and 3c+2 of `txgen`; `run` draws them
+LOAD_CHUNK txs at a time, and the chunk size cannot change a byte. The
 pending pool is a function of the slot and the chain tip, so `Sim`
 builds it once per (slot, tip), from the pool of the nearest ancestor
 tip one slot earlier, and every node on that tip reads the same
@@ -128,6 +131,8 @@ def sample_delay(now_ms: float, stream: Stream, cfg: Config,
     [1, 10*delta] before."""
     return 1 + stream.at(seq) % int(delay_bound(now_ms, cfg))
 
+
+LOAD_CHUNK = 512  # txs per vector draw of the load; no byte depends on it
 
 END, BEGIN, HEAL = range(3)  # the loop's clock runs them in this order
 
@@ -375,49 +380,61 @@ class Sim:
 
     def _schedule_load(self) -> None:
         """Fill `schedule`, sorted, as eligibility before GST is not monotone
-        in arrival time. The counters still see each tx's N copies."""
-        if self.load.arrival_rate <= 0:
+        in arrival time, from the draws the module docstring addresses. The
+        counters still see each tx's N copies."""
+        cfg, load, clients = self.cfg, self.load, self.keys.clients
+        rate_per_ms = load.arrival_rate / 1000.0
+        if rate_per_ms == 0.0:
+            # also a denormal rate: the first arrival is ~1e322 s away
             return
-        rate_per_ms = self.load.arrival_rate / 1000.0
-        arrivals = Stream(stream_key(u64(self.cfg.master_seed), b"arrivals"))
-        txgen = Stream(stream_key(u64(self.cfg.master_seed), b"txgen"))
-        t = 0.0
-        counter = 0
+        arrivals = Stream(stream_key(u64(cfg.master_seed), b"arrivals"))
+        txgen = Stream(stream_key(u64(cfg.master_seed), b"txgen"))
+        id_prefix = b"posn-txid" + u64(cfg.master_seed)
+        value_span = load.value_max - load.value_min + 1
+        fee_span = load.fee_max - load.fee_min + 1
+        # a client's edge to a crashed validator is one stream all run
+        crashed = [(crash_at, [edge_stream(cfg.master_seed, CLIENT_BASE + i, v)
+                               for i in range(len(clients))])
+                   for v, crash_at in self.plan.crash_ms.items()]
+        t, counter, dropped = 0.0, 0, 0
         while True:
-            t += -math.log(1.0 - arrivals.next_float()) / rate_per_ms
-            if t >= self.load.duration_ms:
+            times = []
+            for u in arrivals.draws(counter, LOAD_CHUNK):
+                t += -math.log(1.0 - (u >> 11) * 2.0 ** -53) / rate_per_ms
+                if t >= load.duration_ms:
+                    break
+                times.append(t)
+            fields = iter(txgen.draws(3 * counter, 3 * len(times)))
+            for at, r, v, f in zip(times, fields, fields, fields):
+                seq, i = divmod(counter, len(clients))
+                sender, receiver = clients[i], clients[r % len(clients)]
+                value = load.value_min + v % value_span
+                fee = load.fee_min + f % fee_span
+                tx_id = blake2b(id_prefix + u64(counter),
+                                digest_size=32).digest()
+                signature = crypto.sign(sender.sk, tx_signing_bytes(
+                    tx_id, sender.pk, receiver.pk, value, fee))
+                tx = Transaction(id=tx_id, sender=sender.pk,
+                                 receiver=receiver.pk, value=value, fee=fee,
+                                 signature=signature)
+                self._tx_index[tx_id] = len(self.tx_records)
+                self.tx_records.append({"id": tx_id.hex(), "submit_ms": at,
+                                        "finalize_ms": None})
+                self.schedule.append(
+                    (at + delay_bound(at, cfg) + 1.0, counter, tx))
+                for crash_at, edges in crashed:
+                    delay = sample_delay(at, edges[i], cfg, seq)
+                    if crash_at <= at + delay <= load.duration_ms:
+                        dropped += 1
+                counter += 1
+            if len(times) < LOAD_CHUNK:
                 break
-            tx = self._make_tx(counter, txgen)
-            eligible = t + delay_bound(t, self.cfg) + 1.0
-            self.tx_records.append({"id": tx.id.hex(), "submit_ms": t,
-                                    "finalize_ms": None})
-            self._tx_index[tx.id] = len(self.tx_records) - 1
-            self.schedule.append((eligible, counter, tx))
-            # the exports' name for the N copies a client would send
-            self._count("sent_TxGossip", self.cfg.n_validators)
-            seq, i = divmod(counter, len(self.keys.clients))
-            for v, crash_at in self.plan.crash_ms.items():
-                edge = edge_stream(self.cfg.master_seed, CLIENT_BASE + i, v)
-                delay = sample_delay(t, edge, self.cfg, seq)
-                if crash_at <= t + delay <= self.load.duration_ms:
-                    self._count("dropped_crashed")
-            counter += 1
         self.schedule.sort()
-
-    def _make_tx(self, counter: int, txgen: Stream) -> Transaction:
-        clients = self.keys.clients
-        sender_kp = clients[counter % len(clients)]
-        receiver_kp = clients[txgen.next_int(0, len(clients) - 1)]
-        value = txgen.next_int(self.load.value_min, self.load.value_max)
-        fee = txgen.next_int(self.load.fee_min, self.load.fee_max)
-        tx_id = blake2b(
-            b"posn-txid" + u64(self.cfg.master_seed) + u64(counter),
-            digest_size=32).digest()
-        signature = crypto.sign(sender_kp.sk, tx_signing_bytes(
-            tx_id, sender_kp.pk, receiver_kp.pk, value, fee))
-        return Transaction(id=tx_id, sender=sender_kp.pk,
-                           receiver=receiver_kp.pk, value=value, fee=fee,
-                           signature=signature)
+        # the exports' name for the N copies a client would send
+        if counter:
+            self._count("sent_TxGossip", counter * cfg.n_validators)
+        if dropped:
+            self._count("dropped_crashed", dropped)
 
     # -- main loop ---------------------------------------------------------
 

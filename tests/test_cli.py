@@ -101,6 +101,17 @@ def test_report_matches_export(tmp_path, capsys):
     assert doc["protocol"] == "posn"
 
 
+def test_run_denormal_arrival_rate_exits_0_without_load(tmp_path, capsys):
+    # an accepted rate too small for one arrival in any run
+    scenario = _write_scenario(tmp_path, duration_s=3,
+                               load={"arrival_rate": 1.0e-322})
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", scenario, "--out-dir", str(out)]) == 0
+    assert "violations=0" in capsys.readouterr().out
+    log = load_runlog(str(out / "case_posn_seed17_runlog.jsonl"))
+    assert log.tx_records == []
+
+
 # --- exit statuses: 0 ok, 1 safety violation, 2 bad input -------------------
 
 @pytest.mark.parametrize("scenario,path", [

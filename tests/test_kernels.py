@@ -36,25 +36,32 @@ def test_mix64_matches_reference_generator():
             [mix64((seed + i * GOLDEN) & 0xFFFFFFFFFFFFFFFF) for i in range(5)]
 
 
-def test_stream_at_equals_sequential_draws():
-    s1, s2 = Stream(987654321), Stream(987654321)
-    seq = [s1.next_u64() for _ in range(20)]
-    assert seq == [s2.at(i) for i in range(20)]
+def test_stream_draws_equal_at():
+    s = Stream(987654321)
+    for start, n in ((0, 20), (7, 1), (5, 0), (2**40, 9), (0, 1500)):
+        assert s.draws(start, n) == [s.at(i) for i in range(start, start + n)]
 
 
-def test_stream_floats_in_unit_interval():
-    s = Stream(5)
-    us = [s.next_float() for _ in range(1000)]
+def test_stream_draws_wrap_near_the_top_of_the_key_space():
+    mask = 0xFFFFFFFFFFFFFFFF
+    for key in (mask, mask - GOLDEN + 1, (1 << 63) + 5):
+        s = Stream(key)
+        expect = [mix64((key + (i + 1) * GOLDEN) & mask) for i in range(12)]
+        assert [s.at(i) for i in range(12)] == expect
+        assert s.draws(0, 12) == expect
+        assert s.draws(3, 9) == expect[3:]
+
+
+def test_stream_draws_as_floats_in_unit_interval():
+    us = [(d >> 11) * 2.0 ** -53 for d in Stream(5).draws(0, 1000)]
     assert all(0.0 <= u < 1.0 for u in us)
     assert 0.4 < sum(us) / len(us) < 0.6
 
 
-def test_stream_next_int_inclusive_bounds():
-    s = Stream(6)
-    draws = [s.next_int(3, 5) for _ in range(500)]
-    assert set(draws) == {3, 4, 5}
-    with pytest.raises(ValueError):
-        s.next_int(2, 1)
+def test_stream_draws_reduce_evenly_onto_a_small_range():
+    counts = collections.Counter(3 + d % 3 for d in Stream(6).draws(0, 3000))
+    assert set(counts) == {3, 4, 5}
+    assert all(900 < c < 1100 for c in counts.values())
 
 
 def test_stream_key_respects_part_boundaries():
@@ -114,8 +121,8 @@ def test_rate_trains_follow_stream_draws():
     key = stream_key(b"train")
     keys, probs = np.array([key], dtype=np.uint64), np.array([0.3])
     trains = spike_trains(keys, probs, np.array([1]), 0, 100)
-    s = Stream(key)
-    expect = [s.next_float() < 0.3 for _ in range(100)]
+    expect = [(d >> 11) * 2.0 ** -53 < 0.3
+              for d in Stream(key).draws(0, 100)]
     assert trains[0].tolist() == expect
     # a window draws the same steps as the whole slot
     assert spike_trains(keys, probs, np.array([1]), 37, 100)[0].tolist() \

@@ -1,7 +1,7 @@
 import collections
 import math
 from dataclasses import replace
-from hashlib import sha256
+from hashlib import blake2b, sha256
 from typing import get_args
 
 import pytest
@@ -9,7 +9,9 @@ import pytest
 import posn.crypto as crypto
 import posn.netsim as netsim
 from posn.consensus import Keyring, Node, Payload
-from posn.core import ConfigError, default_config, dumps_canonical, hash_block
+from posn.core import (CLIENT_BASE, ConfigError, Transaction, default_config,
+                       dumps_canonical, hash_block, tx_signing_bytes, u64)
+from posn.kernels import GOLDEN, mix64, stream_key
 from posn.metrics import conflicting_finalizations, export, summarize
 from posn.netsim import (
     STRATEGIES,
@@ -718,3 +720,106 @@ def test_scheduled_transactions_carry_their_senders_signatures(cfg4):
     assert len(sim.schedule) > 20
     for _, _, tx in sim.schedule:
         assert sim.keys.check(tx.sender, tx.signing_bytes(), tx.signature)
+
+
+# --- the load, drawn a chunk at a time ---------------------------------------
+
+def _straight_line_load(sim):
+    """The load built one tx at a time: scalar mix64 of arrival draw c and
+    of txgen draws 3c, 3c+1, 3c+2, and a fresh edge stream per copy to a
+    crashed validator. Returns (schedule, tx_records, tx_index, counters)."""
+    cfg, load, clients = sim.cfg, sim.load, sim.keys.clients
+    schedule, records, index, counters = [], [], {}, {}
+    rate_per_ms = load.arrival_rate / 1000.0
+    if rate_per_ms == 0.0:
+        return schedule, records, index, counters
+
+    def draw(purpose, i):
+        key = stream_key(u64(cfg.master_seed), purpose)
+        return mix64((key + (i + 1) * GOLDEN) & 0xFFFFFFFFFFFFFFFF)
+
+    t, c = 0.0, 0
+    while True:
+        t += -math.log(1.0 - (draw(b"arrivals", c) >> 11) * 2.0 ** -53) \
+            / rate_per_ms
+        if t >= load.duration_ms:
+            break
+        sender = clients[c % len(clients)]
+        receiver = clients[draw(b"txgen", 3 * c) % len(clients)]
+        value = load.value_min + draw(b"txgen", 3 * c + 1) \
+            % (load.value_max - load.value_min + 1)
+        fee = load.fee_min + draw(b"txgen", 3 * c + 2) \
+            % (load.fee_max - load.fee_min + 1)
+        tx_id = blake2b(b"posn-txid" + u64(cfg.master_seed) + u64(c),
+                        digest_size=32).digest()
+        tx = Transaction(id=tx_id, sender=sender.pk, receiver=receiver.pk,
+                         value=value, fee=fee, signature=crypto.sign(
+                             sender.sk, tx_signing_bytes(
+                                 tx_id, sender.pk, receiver.pk, value, fee)))
+        index[tx_id] = len(records)
+        records.append({"id": tx_id.hex(), "submit_ms": t,
+                        "finalize_ms": None})
+        schedule.append((t + delay_bound(t, cfg) + 1.0, c, tx))
+        counters["sent_TxGossip"] = counters.get("sent_TxGossip", 0) \
+            + cfg.n_validators
+        for v, crash_at in sim.plan.crash_ms.items():
+            edge = edge_stream(cfg.master_seed,
+                               CLIENT_BASE + c % len(clients), v)
+            delay = sample_delay(t, edge, cfg, c // len(clients))
+            if crash_at <= t + delay <= load.duration_ms:
+                counters["dropped_crashed"] = \
+                    counters.get("dropped_crashed", 0) + 1
+        c += 1
+    return sorted(schedule), records, index, counters
+
+
+@pytest.mark.parametrize("n,seed,clients,gst,crash,load,min_txs,drops", [
+    # more than two chunks, nothing crashed, a GST inside the run
+    (4, 11, 16, 1500.0, {}, dict(arrival_rate=400.0, duration_ms=3000.0),
+     2 * netsim.LOAD_CHUNK + 1, False),
+    # the full u64 value range, a fixed fee, one client, one crash
+    (5, 2**64 - 1, 1, 0.0, {2: 900.0},
+     dict(arrival_rate=250.0, duration_ms=2500.0, value_min=0,
+          value_max=2**64 - 1, fee_min=7, fee_max=7), 1, True),
+    # two crashes, a GST inside the run, clients not a power of two
+    (7, 3, 3, 700.5, {0: 0.0, 6: 1200.0},
+     dict(arrival_rate=300.0, duration_ms=2000.0, fee_max=2**63), 1, True),
+    # a crash after the run: no copy drops, so no dropped_crashed key
+    (4, 5, 2, 0.0, {1: 4000.0}, dict(arrival_rate=80.0, duration_ms=1000.0),
+     1, False),
+    # no load at all, and a rate that underflows to 0 tx/ms
+    (4, 6, 16, 0.0, {3: 10.0}, dict(arrival_rate=0.0, duration_ms=1000.0),
+     0, False),
+    (4, 6, 16, 0.0, {}, dict(arrival_rate=1.0e-322, duration_ms=1000.0),
+     0, False),
+])
+def test_chunked_load_equals_the_straight_line_build(n, seed, clients, gst,
+                                                    crash, load, min_txs,
+                                                    drops):
+    cfg = default_config(n, master_seed=seed, n_clients=clients, gst_ms=gst)
+    sim = Sim(cfg, FaultPlan(crash_ms=crash), LoadProfile(**load))
+    sim._schedule_load()
+    schedule, records, index, counters = _straight_line_load(sim)
+    assert sim.schedule == schedule
+    assert sim.tx_records == records
+    assert sim._tx_index == index
+    assert sim.counters == counters  # equal keys: no zero-count key
+    assert len(schedule) >= min_txs
+    assert ("sent_TxGossip" in counters) == bool(schedule)
+    assert ("dropped_crashed" in counters) == drops
+
+
+def test_sim_builds_no_transaction_before_run(cfg4):
+    sim = Sim(cfg4, FaultPlan(crash_ms={3: 500.0}),
+              _load(rate=60.0, ms=1000.0))
+    assert sim.schedule == [] and sim.tx_records == []
+    assert sim._tx_index == {} and sim.counters == {}
+    sim.run()
+    assert sim.schedule and len(sim.tx_records) == len(sim.schedule)
+
+
+def test_denormal_arrival_rate_runs_without_load(cfg4):
+    # 1e-322 tx/s passes LoadProfile's checks, then is 0.0 tx/ms
+    log = Sim(cfg4, FaultPlan(), _load(rate=1.0e-322, ms=3000.0)).run()
+    assert log.tx_records == []
+    assert "sent_TxGossip" not in log.msg_counters
