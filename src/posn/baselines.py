@@ -79,6 +79,5 @@ def make_elector(protocol: str, cfg: Config, keys: Keyring,
                   if protocol == "por"
                   else pob_elect(slot, table, cfg.master_seed))
         return SlotContext(fire_steps=None, election=ElectionResult(
-            leader=leader, fire_step=0, tie_set=frozenset((leader,)),
-            vrf_used=False))
+            leader=leader, fire_step=0, tie_set=frozenset((leader,))))
     return replay

@@ -4,7 +4,9 @@ Each slot: nodes freeze a transaction snapshot, replay every validator's
 neuron over it, and elect the earliest spiker (VRF value breaks ties).
 The leader proposes a block; peers accept only what they can reproduce
 bit-for-bit (spike replay, election, mempool ordering), vote once, and
-finalize on a strict two-thirds quorum. Rewards, penalties for provable
+finalize on a strict two-thirds quorum. The ordering is the slot's block
+selection in `core.select_mempool`'s order, which the leader signs as
+given and a peer compares as is. Rewards, penalties for provable
 misbehavior, and the per-node slot state machine live here too. The PoB
 and PoR baselines swap only the election step: each supplies its slot
 context as a `ReplayFn`, and proposal validation, evidence checks and
@@ -19,16 +21,12 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from . import crypto
 from .core import (CLIENT_BASE, Block, ChainState, Config, PenaltyEntry,
                    PosnError, Transaction, ValidatorId, Vote, append_block,
-                   hash_block, select_mempool, u64, vote_signing_bytes)
+                   hash_block, u64, vote_signing_bytes)
 from .neuro import SlotSeed, fire_steps, make_slot_seed
 
 # slot outcomes; Skipped is the timeout exit
 FINALIZED = "Finalized"
 SKIPPED = "Skipped"
-
-
-class NotLeader(PosnError):
-    pass
 
 
 class InvalidEvidence(PosnError):
@@ -40,23 +38,8 @@ class ElectionResult:
     leader: ValidatorId
     fire_step: int
     tie_set: frozenset[ValidatorId]
-    vrf_used: bool
-    # winner's VRF output when vrf_used, so the proposer can attach it
+    # the winner's VRF output when a VRF broke a tie, else None
     vrf_output: Optional[crypto.VrfOutput] = None
-
-
-@dataclass(frozen=True)
-class Verdict:
-    accepted: bool
-    reason: Optional[str] = None
-
-    @classmethod
-    def ok(cls) -> "Verdict":
-        return cls(True, None)
-
-    @classmethod
-    def reject(cls, reason: str) -> "Verdict":
-        return cls(False, reason)
 
 
 @dataclass(frozen=True)
@@ -184,27 +167,28 @@ def elect_leader(fire_steps: dict[ValidatorId, Optional[int]], slot: int,
                   key=lambda v: v.index)
     if len(tied) == 1:
         return ElectionResult(leader=tied[0], fire_step=best,
-                              tie_set=frozenset(tied), vrf_used=False)
+                              tie_set=frozenset(tied))
     data = election_data(slot, parent_hash)
     outs = {vid: crypto.vrf_eval(keys.sk(vid.index), data) for vid in tied}
     winner = min(tied, key=lambda v: (outs[v].value, v.index))
     return ElectionResult(leader=winner, fire_step=best,
-                          tie_set=frozenset(tied), vrf_used=True,
-                          vrf_output=outs[winner])
+                          tie_set=frozenset(tied), vrf_output=outs[winner])
 
 
-def propose(leader: ValidatorId, sk: bytes, slot: int, parent_hash: bytes,
-            mempool: Sequence[Transaction], election: ElectionResult,
-            cfg: Config) -> Block:
-    """Build and sign the leader's block for this slot."""
-    if leader != election.leader:
-        raise NotLeader(f"validator {leader.index} did not win slot {slot}")
-    block = Block(slot=slot, proposer=leader, parent_hash=parent_hash,
-                  txs=select_mempool(mempool, cfg.max_block_txs),
-                  claimed_fire_step=election.fire_step,
-                  vrf_output=election.vrf_output if election.vrf_used else None)
-    sig = crypto.sign(sk, block.core_bytes())
-    return replace(block, proposer_signature=sig)
+def sign_block(block: Block, sk: bytes) -> Block:
+    """`block` signed by `sk`; its core bytes never cover the signature."""
+    return replace(block, proposer_signature=crypto.sign(sk,
+                                                         block.core_bytes()))
+
+
+def propose(sk: bytes, slot: int, parent_hash: bytes,
+            txs: tuple[Transaction, ...], election: ElectionResult) -> Block:
+    """The elected leader's block for this slot, carrying `txs` (the
+    slot's block selection) as given, signed by `sk`."""
+    return sign_block(Block(slot=slot, proposer=election.leader,
+                            parent_hash=parent_hash, txs=txs,
+                            claimed_fire_step=election.fire_step,
+                            vrf_output=election.vrf_output), sk)
 
 
 # ---------------------------------------------------------------------------
@@ -284,35 +268,33 @@ def _refuted_by_replay(block: Block, ctx: SlotContext) -> Optional[str]:
 
 
 def validate_proposal(block: Block, slot: int, parent_hash: bytes,
-                      snapshot: Sequence[Transaction], cfg: Config,
-                      keys: Keyring, ctx: SlotContext) -> Verdict:
-    """Replay-based acceptance, first failed check wins: signatures,
-    parent link, spike replay, election, mempool ordering.
+                      block_txs: tuple[Transaction, ...], keys: Keyring,
+                      ctx: SlotContext) -> Optional[str]:
+    """Why the block is rejected, or None when it is accepted. Replay-based,
+    first failed check wins: signatures, parent link, spike replay,
+    election, mempool ordering.
 
     `ctx` is the slot's context, whose fire steps and election the
-    checks read; the block's txs must be `snapshot`'s selection.
+    checks read; the block's txs must be the slot's selection `block_txs`.
     """
     bad = check_signatures(block, keys)
     if bad is not None:
-        return Verdict.reject(bad)
+        return bad
     if block.slot != slot:
-        return Verdict.reject("WrongSlot")
+        return "WrongSlot"
     if block.parent_hash != parent_hash:
-        return Verdict.reject("ParentMismatch")
-
+        return "ParentMismatch"
     refuted = _refuted_by_replay(block, ctx)
     if refuted is not None:
-        return Verdict.reject(refuted)
-    election = ctx.election
-    if election.vrf_used:
-        if block.vrf_output is None or not keys.check_vrf(
+        return refuted
+    if ctx.election.vrf_output is not None and (
+            block.vrf_output is None or not keys.check_vrf(
                 block.proposer.pk, election_data(slot, parent_hash),
-                block.vrf_output):
-            return Verdict.reject("VrfMismatch")
-
-    if block.txs != select_mempool(snapshot, cfg.max_block_txs):
-        return Verdict.reject("MempoolMismatch")
-    return Verdict.ok()
+                block.vrf_output)):
+        return "VrfMismatch"
+    if block.txs != block_txs:
+        return "MempoolMismatch"
+    return None
 
 
 def collect_votes(votes: Iterable[Vote], block_hash: bytes, slot: int,
@@ -486,11 +468,13 @@ class Node:
     its type (`_HANDLERS`), and returns None for a proposal or vote of
     another slot, which the harness counts as stale; the node is the one
     place that decides this. A node judges each distinct proposal once
-    per slot and keeps no verdict: a copy of a proposal it has judged
-    changes nothing, so it returns at once. Each vote is checked once,
-    where it arrives: `_on_vote` checks a single vote (slot, voter, key,
-    signature) and `collect_votes` the quorum of a `FinalizeMsg`; the
-    chain then takes the checked quorum's credits without a re-check.
+    per slot and keeps no verdict (`validate_proposal`'s reason): it votes
+    on None, and a replay refutation is evidence. A copy of a proposal it
+    has judged changes nothing, so it returns at once. Each vote is
+    checked once, where it arrives: `_on_vote` checks a single vote
+    (slot, voter, key, signature) and `collect_votes` the quorum of a
+    `FinalizeMsg`; the chain then takes the checked quorum's credits
+    without a re-check.
     """
 
     def __init__(self, index: int, keys: Keyring, cfg: Config,
@@ -530,8 +514,8 @@ class Node:
         return []
 
     def _make_proposal(self, now: float, election: ElectionResult) -> Outgoing:
-        block = propose(self.me, self.sk, self.slot.slot, self.chain.tip_hash,
-                        self.slot.view.block_txs, election, self.cfg)
+        block = propose(self.sk, self.slot.slot, self.chain.tip_hash,
+                        self.slot.view.block_txs, election)
         if self.protocol == "posn":
             # the leader can only speak once its neuron has actually fired
             send_at = now + (election.fire_step + 1) * self.cfg.dt_ms
@@ -549,7 +533,8 @@ class Node:
             "leader": election.leader.index if election else None,
             "fire_step": election.fire_step if election else None,
             "tie_size": len(election.tie_set) if election else 0,
-            "vrf_used": election.vrf_used if election else False,
+            "vrf_used": (election.vrf_output is not None
+                         if election else False),
             "quorum_size": self.slot.quorum_size,
             "n_block_txs": (len(self.chain.finalized[-1].txs)
                             if self.slot.finalized else 0),
@@ -590,15 +575,13 @@ class Node:
             out.append(Outgoing(send_at=now, payload=block))
 
         view = self.slot.view
-        verdict = validate_proposal(
-            block, self.slot.slot, self.chain.tip_hash, view.block_txs,
-            self.cfg, self.keys, ctx=view.ctx)
-        if not verdict.accepted and verdict.reason in ("SpikeMismatch",
-                                                       "NotElected"):
+        reason = validate_proposal(block, self.slot.slot, self.chain.tip_hash,
+                                   view.block_txs, self.keys, ctx=view.ctx)
+        if reason in ("SpikeMismatch", "NotElected"):
             out.extend(self._found_evidence(now, ForgedSpike(
                 block=block, spike_txs=view.spike_txs,
                 parent_hash=self.chain.tip_hash)))
-        if verdict.accepted and not self.slot.voted \
+        if reason is None and not self.slot.voted \
                 and not self.slot.finalized:
             vote = make_vote(self.me, self.sk, self.slot.slot, block_hash)
             self.slot.voted = True

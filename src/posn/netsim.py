@@ -36,7 +36,7 @@ from hashlib import blake2b
 from . import baselines, crypto
 from .consensus import (Equivocation, FinalizeMsg, ForgedSpike, Keyring,
                         Node, Outgoing, Payload, SlotView,
-                        compute_slot_context)
+                        compute_slot_context, sign_block)
 from .core import (CLIENT_BASE, AtLeast, Block, ChainState, Config,
                    Transaction, Vote, check_fields, check_type, hash_block,
                    i64, require, tx_signing_bytes, u64)
@@ -214,26 +214,20 @@ def _equivocate(node: Node, outgoing: list[Outgoing]) -> list[Outgoing]:
 
 def forge_proposal(node: Node) -> list[Outgoing]:
     """Claim the slot with fire step 0 no matter what actually spiked."""
-    block = Block(slot=node.slot.slot, proposer=node.me,
-                  parent_hash=node.chain.tip_hash,
-                  txs=node.slot.view.block_txs,
-                  claimed_fire_step=0, vrf_output=None)
-    signed = replace(block,
-                     proposer_signature=crypto.sign(node.sk,
-                                                    block.core_bytes()))
+    signed = sign_block(Block(slot=node.slot.slot, proposer=node.me,
+                              parent_hash=node.chain.tip_hash,
+                              txs=node.slot.view.block_txs,
+                              claimed_fire_step=0, vrf_output=None), node.sk)
     send_at = node.slot.started_ms + node.cfg.dt_ms
     return [Outgoing(send_at=send_at, payload=signed)]
 
 
 def conflicting_variant(node: Node, block: Block) -> Block:
     if len(block.txs) >= 2:
-        variant = replace(block, txs=tuple(reversed(block.txs)),
-                          proposer_signature=None)
+        variant = replace(block, txs=tuple(reversed(block.txs)))
     else:
-        variant = replace(block, claimed_fire_step=block.claimed_fire_step + 1,
-                          proposer_signature=None)
-    return replace(variant, proposer_signature=crypto.sign(
-        node.sk, variant.core_bytes()))
+        variant = replace(block, claimed_fire_step=block.claimed_fire_step + 1)
+    return sign_block(variant, node.sk)
 
 
 # ---------------------------------------------------------------------------

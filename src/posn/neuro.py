@@ -103,8 +103,10 @@ def rate_for(tx: Transaction, cfg: Config) -> float:
 
 def isi_for(tx: Transaction, cfg: Config) -> int:
     """Inter-spike interval in micro-steps: ceil(kappa/(value+fee+eps)),
-    floored at one step. Larger transfers spike more often."""
-    return max(1, math.ceil(cfg.kappa / (tx.value + tx.fee + cfg.epsilon_isi)))
+    floored at one step, capped at tau_steps + 1 (it never fires inside
+    the window; no overflow). Larger transfers spike more often."""
+    ratio = cfg.kappa / (tx.value + tx.fee + cfg.epsilon_isi)
+    return max(1, math.ceil(min(ratio, cfg.tau_steps + 1)))
 
 
 def weight_for(tx: Transaction, cfg: Config) -> float:

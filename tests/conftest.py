@@ -64,16 +64,16 @@ def verify_calls(monkeypatch):
 
 @pytest.fixture
 def verdicts(monkeypatch):
-    """The (node index, block, verdict) of every consensus.validate_proposal
-    call, in call order. Its caller is a `Node` method, whose `self` names
-    the node that judged."""
+    """The (node index, block, reason) of every consensus.validate_proposal
+    call, in call order; the reason is None for an accepted block. Its
+    caller is a `Node` method, whose `self` names the node that judged."""
     rows = []
     judge = consensus.validate_proposal
 
     def recording(block, *args, **kwargs):
-        verdict = judge(block, *args, **kwargs)
-        rows.append((sys._getframe(1).f_locals["self"].index, block, verdict))
-        return verdict
+        reason = judge(block, *args, **kwargs)
+        rows.append((sys._getframe(1).f_locals["self"].index, block, reason))
+        return reason
 
     monkeypatch.setattr(consensus, "validate_proposal", recording)
     return rows

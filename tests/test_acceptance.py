@@ -174,7 +174,7 @@ def test_06_every_honest_validator_rejects_forged_spikes(verdicts):
             records = {r["slot"]: r for r in node.slot_records}
             penalized = {(p.reason, p.validator, p.slot)
                          for p in node.chain.penalties_log}
-            for judge, block, verdict in verdicts:
+            for judge, block, reason in verdicts:
                 if judge != i or block.proposer.index != forger \
                         or block.slot > last_settled:
                     continue
@@ -185,7 +185,7 @@ def test_06_every_honest_validator_rejects_forged_spikes(verdicts):
                     coincidences += 1
                     continue
                 total_forged += 1
-                assert not verdict.accepted, (seed, i, block.slot, verdict)
+                assert reason is not None, (seed, i, block.slot)
                 total_rejected += 1
                 assert ("forged_spike", forger, block.slot) in penalized, \
                     (seed, i, block.slot)

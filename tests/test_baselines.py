@@ -102,7 +102,7 @@ def test_make_elector_por(keys8):
     assert ctx.fire_steps is None  # no neuron is replayed
     assert result.leader == por_elect(4, GENESIS_HASH, keys8.validators, keys8)
     assert result.fire_step == 0
-    assert not result.vrf_used
+    assert result.vrf_output is None
 
 
 def test_make_elector_pob_uses_scores(keys8):
@@ -121,14 +121,13 @@ def test_baseline_context_judges_proposals_and_evidence(keys8):
     ctx = replay(4, GENESIS_HASH, ())
     leader = ctx.election.leader
     other = keys8.validator((leader.index + 1) % 8)
-    blocks = {vid: propose(vid, keys8.sk(vid.index), 4, GENESIS_HASH, (),
-                           replace(ctx.election, leader=vid), cfg)
+    blocks = {vid: propose(keys8.sk(vid.index), 4, GENESIS_HASH, (),
+                           replace(ctx.election, leader=vid))
               for vid in (leader, other)}
-    assert validate_proposal(blocks[leader], 4, GENESIS_HASH, (), cfg, keys8,
-                             ctx).accepted
-    verdict = validate_proposal(blocks[other], 4, GENESIS_HASH, (), cfg,
-                                keys8, ctx)
-    assert verdict.reason == "NotElected"
+    assert validate_proposal(blocks[leader], 4, GENESIS_HASH, (), keys8,
+                             ctx) is None
+    assert validate_proposal(blocks[other], 4, GENESIS_HASH, (), keys8,
+                             ctx) == "NotElected"
     with pytest.raises(InvalidEvidence):
         verify_evidence(ForgedSpike(blocks[leader], (), GENESIS_HASH), keys8,
                         ctx)

@@ -112,6 +112,23 @@ def test_run_denormal_arrival_rate_exits_0_without_load(tmp_path, capsys):
     assert log.tx_records == []
 
 
+@pytest.mark.parametrize("config", [
+    # an interval past 2**63 steps, under either encoding
+    {"kappa": 1.0e+19},
+    {"kappa": 1.0e+19, "encoding": "rate"},
+    # an interval that overflows to infinity for a zero-value, zero-fee tx
+    {"epsilon_isi": 1.0e-320, "encoding": "temporal"},
+])
+def test_run_intervals_past_the_window_exit_0(tmp_path, capsys, config):
+    # an interval longer than the spiking window never fires inside it
+    scenario = _write_scenario(tmp_path, config=config,
+                               load={"arrival_rate": 40, "value": [0, 5],
+                                     "fee": [0, 5]})
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", scenario, "--out-dir", str(out)]) == 0
+    assert "violations=0" in capsys.readouterr().out
+
+
 # --- exit statuses: 0 ok, 1 safety violation, 2 bad input -------------------
 
 @pytest.mark.parametrize("scenario,path", [

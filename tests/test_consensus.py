@@ -11,7 +11,6 @@ from posn.consensus import (
     ForgedSpike,
     InvalidEvidence,
     Keyring,
-    NotLeader,
     apply_penalty,
     collect_votes,
     compute_fire_steps,
@@ -23,6 +22,7 @@ from posn.consensus import (
     make_vote,
     propose,
     quorum_threshold,
+    sign_block,
     validate_proposal,
     verify_evidence,
 )
@@ -60,7 +60,6 @@ def test_elect_leader_unique_min(keys4):
     assert result.leader == vs[1]
     assert result.fire_step == 3
     assert result.tie_set == frozenset([vs[1]])
-    assert not result.vrf_used
     assert result.vrf_output is None
 
 
@@ -68,7 +67,7 @@ def test_elect_leader_tie_breaks_by_smallest_vrf(keys7):
     vs = keys7.validators
     steps = {v: (2 if v.index in (1, 4, 6) else None) for v in vs}
     result = elect_leader(steps, 9, GENESIS_HASH, keys7)
-    assert result.vrf_used
+    assert result.vrf_output is not None
     assert result.tie_set == frozenset([vs[1], vs[4], vs[6]])
     data = election_data(9, GENESIS_HASH)
     values = {i: crypto.vrf_eval(keys7.sk(i), data).value for i in (1, 4, 6)}
@@ -130,6 +129,29 @@ def _ctx(cfg, keys, mempool, slot=0, parent=GENESIS_HASH):
         keys)
 
 
+def _selection(cfg, mempool):
+    """The block selection of the slot whose pending pool is `mempool`."""
+    return select_mempool(mempool, cfg.max_block_txs)
+
+
+def _propose(cfg, keys, mempool, election, slot=0, parent=GENESIS_HASH):
+    """The elected leader's block over `mempool`'s selection."""
+    return propose(keys.sk(election.leader.index), slot, parent,
+                   _selection(cfg, mempool), election)
+
+
+def _resign(block, keys, **changes):
+    changed = replace(block, **changes)
+    return sign_block(changed, keys.sk(changed.proposer.index))
+
+
+def _validate(cfg, keys, block, mempool, slot=0, parent=GENESIS_HASH):
+    """validate_proposal's reason, with the selection and context of the
+    slot whose pending pool is `mempool`."""
+    return validate_proposal(block, slot, parent, _selection(cfg, mempool),
+                             keys, _ctx(cfg, keys, mempool, slot, parent))
+
+
 def _heavier(txs, keys):
     # bulk the load up until somebody fires
     extra = 0
@@ -149,87 +171,72 @@ def _electable(cfg, keys, base_txs, slot=0, parent=GENESIS_HASH):
         assert len(txs) < 600, "load never triggered a spike"
 
 
-def test_propose_requires_winning(cfg4, keys4, txs):
-    _, _, seed, election = _electable(cfg4, keys4, txs)
-    loser = next(v for v in keys4.validators if v != election.leader)
-    with pytest.raises(NotLeader):
-        propose(loser, keys4.sk(loser.index), 0, GENESIS_HASH, txs,
-                election, cfg4)
-
-
 def test_propose_then_validate_accepts(cfg4, keys4, txs):
     mempool, spike_txs, seed, election = _electable(cfg4, keys4, txs)
-    leader = election.leader
-    block = propose(leader, keys4.sk(leader.index), 0, GENESIS_HASH,
-                    mempool, election, cfg4)
+    block = _propose(cfg4, keys4, mempool, election)
+    assert block.proposer == election.leader
     assert block.txs == select_mempool(mempool, cfg4.max_block_txs)
     assert block.claimed_fire_step == election.fire_step
-    assert (block.vrf_output is not None) == election.vrf_used
-    verdict = validate_proposal(block, 0, GENESIS_HASH, mempool, cfg4, keys4,
-                                _ctx(cfg4, keys4, mempool))
-    assert verdict.accepted, verdict.reason
+    assert block.vrf_output == election.vrf_output
+    reason = _validate(cfg4, keys4, block, mempool)
+    assert reason is None, reason
+
+
+def test_propose_signs_the_given_txs_as_given(cfg4, keys4, txs):
+    mempool, spike_txs, seed, election = _electable(cfg4, keys4, txs)
+    given = tuple(reversed(_selection(cfg4, mempool)))
+    block = propose(keys4.sk(election.leader.index), 0, GENESIS_HASH, given,
+                    election)
+    assert block.txs == given
+    assert block == sign_block(replace(block, proposer_signature=None),
+                               keys4.sk(election.leader.index))
+    assert crypto.verify(block.proposer.pk, block.core_bytes(),
+                         block.proposer_signature, store=keys4)
 
 
 @pytest.fixture
 def accepted_block(cfg4, keys4, txs):
     mempool, spike_txs, seed, election = _electable(cfg4, keys4, txs)
-    leader = election.leader
-    block = propose(leader, keys4.sk(leader.index), 0, GENESIS_HASH,
-                    mempool, election, cfg4)
-    return mempool, block, election
+    return mempool, _propose(cfg4, keys4, mempool, election), election
 
 
 def test_validate_rejects_bad_block_signature(cfg4, keys4, accepted_block):
     mempool, block, _ = accepted_block
     forged = replace(block, proposer_signature=crypto.sign(keys4.sk(0), b"no"))
-    verdict = validate_proposal(forged, 0, GENESIS_HASH, mempool, cfg4, keys4,
-                                _ctx(cfg4, keys4, mempool))
-    assert verdict.reason == "BadBlockSignature"
+    assert _validate(cfg4, keys4, forged, mempool) == "BadBlockSignature"
 
 
 def test_validate_rejects_unknown_proposer(cfg4, keys4, accepted_block):
     mempool, block, _ = accepted_block
     stranger = replace(block.proposer, index=99)
     forged = replace(block, proposer=stranger)
-    verdict = validate_proposal(forged, 0, GENESIS_HASH, mempool, cfg4, keys4,
-                                _ctx(cfg4, keys4, mempool))
-    assert verdict.reason == "UnknownProposer"
+    assert _validate(cfg4, keys4, forged, mempool) == "UnknownProposer"
 
 
 def test_validate_rejects_tampered_tx(cfg4, keys4, accepted_block):
     mempool, block, _ = accepted_block
     txs = list(block.txs)
     txs[0] = replace(txs[0], value=txs[0].value + 1)
-    forged = replace(block, txs=tuple(txs))
-    sig = crypto.sign(keys4.sk(block.proposer.index), forged.core_bytes())
-    forged = replace(forged, proposer_signature=sig)
-    verdict = validate_proposal(forged, 0, GENESIS_HASH, mempool, cfg4, keys4,
-                                _ctx(cfg4, keys4, mempool))
-    assert verdict.reason == "BadTxSignature"
+    forged = _resign(block, keys4, txs=tuple(txs))
+    assert _validate(cfg4, keys4, forged, mempool) == "BadTxSignature"
 
 
 def test_validate_rejects_wrong_slot(cfg4, keys4, accepted_block):
     mempool, block, _ = accepted_block
-    verdict = validate_proposal(block, 1, GENESIS_HASH, mempool, cfg4, keys4,
-                                _ctx(cfg4, keys4, mempool, 1))
-    assert verdict.reason == "WrongSlot"
+    assert _validate(cfg4, keys4, block, mempool, 1) == "WrongSlot"
 
 
 def test_validate_rejects_wrong_parent(cfg4, keys4, accepted_block):
     mempool, block, _ = accepted_block
-    verdict = validate_proposal(block, 0, b"\x05" * 32, mempool, cfg4, keys4,
-                                _ctx(cfg4, keys4, mempool, 0, b"\x05" * 32))
-    assert verdict.reason == "ParentMismatch"
+    assert _validate(cfg4, keys4, block, mempool, 0, b"\x05" * 32) \
+        == "ParentMismatch"
 
 
 def test_validate_rejects_wrong_claimed_step(cfg4, keys4, accepted_block):
     mempool, block, _ = accepted_block
-    lied = replace(block, claimed_fire_step=block.claimed_fire_step + 1)
-    sig = crypto.sign(keys4.sk(block.proposer.index), lied.core_bytes())
-    lied = replace(lied, proposer_signature=sig)
-    verdict = validate_proposal(lied, 0, GENESIS_HASH, mempool, cfg4, keys4,
-                                _ctx(cfg4, keys4, mempool))
-    assert verdict.reason == "SpikeMismatch"
+    lied = _resign(block, keys4,
+                   claimed_fire_step=block.claimed_fire_step + 1)
+    assert _validate(cfg4, keys4, lied, mempool) == "SpikeMismatch"
 
 
 def test_validate_rejects_non_winner(cfg4, keys4, accepted_block):
@@ -239,56 +246,32 @@ def test_validate_rejects_non_winner(cfg4, keys4, accepted_block):
     steps = compute_fire_steps(keys4.validators, spike_txs, seed, cfg4)
     other = next(v for v in keys4.validators
                  if v != election.leader and steps[v] is not None)
-    stolen = replace(block, proposer=other,
+    stolen = _resign(block, keys4, proposer=other,
                      claimed_fire_step=steps[other], vrf_output=None)
-    sig = crypto.sign(keys4.sk(other.index), stolen.core_bytes())
-    stolen = replace(stolen, proposer_signature=sig)
-    verdict = validate_proposal(stolen, 0, GENESIS_HASH, mempool, cfg4, keys4,
-                                _ctx(cfg4, keys4, mempool))
-    assert verdict.reason == "NotElected"
+    assert _validate(cfg4, keys4, stolen, mempool) == "NotElected"
 
 
 def test_validate_rejects_missing_vrf_proof(cfg7, keys7, txs):
     # force a tie so the vrf proof becomes mandatory
     mempool, spike_txs, seed, election = _electable(cfg7, keys7, txs)
-    if not election.vrf_used:
+    if election.vrf_output is None:
         pytest.skip("no tie in this draw")
-    leader = election.leader
-    block = propose(leader, keys7.sk(leader.index), 0, GENESIS_HASH,
-                    mempool, election, cfg7)
-    stripped = replace(block, vrf_output=None)
-    sig = crypto.sign(keys7.sk(leader.index), stripped.core_bytes())
-    stripped = replace(stripped, proposer_signature=sig)
-    verdict = validate_proposal(stripped, 0, GENESIS_HASH, mempool,
-                                cfg7, keys7, _ctx(cfg7, keys7, mempool))
-    assert verdict.reason == "VrfMismatch"
+    block = _propose(cfg7, keys7, mempool, election)
+    stripped = _resign(block, keys7, vrf_output=None)
+    assert _validate(cfg7, keys7, stripped, mempool) == "VrfMismatch"
 
 
 def test_validate_rejects_wrong_tx_selection(cfg4, keys4, accepted_block):
     mempool, block, _ = accepted_block
-    short = replace(block, txs=block.txs[:-1])
-    sig = crypto.sign(keys4.sk(block.proposer.index), short.core_bytes())
-    short = replace(short, proposer_signature=sig)
-    verdict = validate_proposal(short, 0, GENESIS_HASH, mempool, cfg4, keys4,
-                                _ctx(cfg4, keys4, mempool))
-    assert verdict.reason == "MempoolMismatch"
+    short = _resign(block, keys4, txs=block.txs[:-1])
+    assert _validate(cfg4, keys4, short, mempool) == "MempoolMismatch"
 
 
 def test_validate_check_order(cfg4, keys4, accepted_block):
     # several defects at once: the earlier check names the reason
     mempool, block, _ = accepted_block
-    broken = replace(block, txs=block.txs[:-1])
-    sig = crypto.sign(keys4.sk(block.proposer.index), broken.core_bytes())
-    broken = replace(broken, proposer_signature=sig)
-    verdict = validate_proposal(broken, 3, GENESIS_HASH, mempool, cfg4, keys4,
-                                _ctx(cfg4, keys4, mempool, 3))
-    assert verdict.reason == "WrongSlot"
-
-
-def _resign(block, keys, **changes):
-    changed = replace(block, **changes)
-    return replace(changed, proposer_signature=crypto.sign(
-        keys.sk(changed.proposer.index), changed.core_bytes()))
+    broken = _resign(block, keys4, txs=block.txs[:-1])
+    assert _validate(cfg4, keys4, broken, mempool, 3) == "WrongSlot"
 
 
 def _validation_cases(cfg, keys, mempool, block, election):
@@ -301,6 +284,7 @@ def _validation_cases(cfg, keys, mempool, block, election):
     steps = compute_fire_steps(keys.validators, spike_txs, seed, cfg)
     other = next(v for v in keys.validators
                  if v != election.leader and steps[v] is not None)
+    assert len(set(block.txs)) >= 2  # so that reversing reorders
     return [
         (None, block, 0, GENESIS_HASH),
         ("BadBlockSignature", replace(block, proposer_signature=crypto.sign(
@@ -319,6 +303,10 @@ def _validation_cases(cfg, keys, mempool, block, election):
                                vrf_output=None), 0, GENESIS_HASH),
         ("MempoolMismatch", _resign(block, keys, txs=block.txs[:-1]), 0,
          GENESIS_HASH),
+        # the selection reordered, as an equivocator's variant is
+        ("MempoolMismatch", _resign(block, keys,
+                                    txs=tuple(reversed(block.txs))), 0,
+         GENESIS_HASH),
         ("WrongSlot", _resign(block, keys, txs=block.txs[:-1]), 3,
          GENESIS_HASH),
     ]
@@ -333,10 +321,10 @@ def _assert_ctx_decides(cfg, keys, mempool, cases, monkeypatch):
         raise AssertionError("first_fire called despite ctx")
 
     monkeypatch.setattr("posn.kernels.first_fire", no_replay)
-    verdicts = [validate_proposal(blk, slot, parent, mempool, cfg, keys,
-                                  contexts[(slot, parent)])
-                for _, blk, slot, parent in cases]
-    assert [v.reason for v in verdicts] == [reason for reason, *_ in cases]
+    reasons = [validate_proposal(blk, slot, parent, _selection(cfg, mempool),
+                                 keys, contexts[(slot, parent)])
+               for _, blk, slot, parent in cases]
+    assert reasons == [reason for reason, *_ in cases]
 
 
 def test_validate_judges_by_the_given_ctx(cfg4, keys4, accepted_block,
@@ -349,11 +337,9 @@ def test_validate_judges_by_the_given_ctx(cfg4, keys4, accepted_block,
 def test_validate_judges_by_the_given_ctx_on_vrf(cfg7, keys7, txs,
                                                  monkeypatch):
     mempool, spike_txs, seed, election = _electable(cfg7, keys7, txs)
-    if not election.vrf_used:
+    if election.vrf_output is None:
         pytest.skip("no tie in this draw")
-    leader = election.leader
-    block = propose(leader, keys7.sk(leader.index), 0, GENESIS_HASH,
-                    mempool, election, cfg7)
+    block = _propose(cfg7, keys7, mempool, election)
     cases = [(None, block, 0, GENESIS_HASH),
              ("VrfMismatch", _resign(block, keys7, vrf_output=None), 0,
               GENESIS_HASH)]
@@ -411,9 +397,8 @@ def test_distribute_rewards_amounts(cfg4, keys4):
                 enumerate([9, 9, 9]))
     leader = keys4.validator(0)
     election = ElectionResult(leader=leader, fire_step=0,
-                              tie_set=frozenset([leader]), vrf_used=False,
-                              vrf_output=None)
-    block = propose(leader, keys4.sk(0), 0, GENESIS_HASH, txs, election, cfg4)
+                              tie_set=frozenset([leader]))
+    block = propose(keys4.sk(0), 0, GENESIS_HASH, txs, election)
     votes = _votes_for(keys4, 4, hash_block(block), voters=[0, 1, 2])
     credits = distribute_rewards(block, votes, cfg4)
     assert credits == {0: 137, 1: 10, 2: 10}
@@ -424,9 +409,8 @@ def test_distribute_rewards_amounts(cfg4, keys4):
 def test_distribute_rewards_deduplicates_voters(cfg4, keys4, txs):
     leader = keys4.validator(1)
     election = ElectionResult(leader=leader, fire_step=2,
-                              tie_set=frozenset([leader]), vrf_used=False,
-                              vrf_output=None)
-    block = propose(leader, keys4.sk(1), 0, GENESIS_HASH, txs, election, cfg4)
+                              tie_set=frozenset([leader]))
+    block = propose(keys4.sk(1), 0, GENESIS_HASH, tuple(txs), election)
     votes = _votes_for(keys4, 4, hash_block(block), voters=[1, 2, 2, 3, 3])
     fees = sum(tx.fee for tx in txs)
     assert distribute_rewards(block, votes, cfg4) == {
@@ -438,10 +422,9 @@ def test_distribute_rewards_deduplicates_voters(cfg4, keys4, txs):
 def _two_blocks_same_slot(cfg, keys, txs):
     leader = keys.validator(2)
     election = ElectionResult(leader=leader, fire_step=1,
-                              tie_set=frozenset([leader]), vrf_used=False,
-                              vrf_output=None)
-    a = propose(leader, keys.sk(2), 4, GENESIS_HASH, txs, election, cfg)
-    b = propose(leader, keys.sk(2), 4, GENESIS_HASH, txs[:-1], election, cfg)
+                              tie_set=frozenset([leader]))
+    a = propose(keys.sk(2), 4, GENESIS_HASH, tuple(txs), election)
+    b = propose(keys.sk(2), 4, GENESIS_HASH, tuple(txs[:-1]), election)
     return a, b
 
 
@@ -471,10 +454,8 @@ def test_forged_spike_evidence_verifies(cfg4, keys4, txs):
     wrong = first_spike_step(liar, spike_txs, seed, cfg4)
     claim = 0 if wrong != 0 else 1
     fake_election = ElectionResult(leader=liar, fire_step=claim,
-                                   tie_set=frozenset([liar]), vrf_used=False,
-                                   vrf_output=None)
-    block = propose(liar, keys4.sk(3), 0, GENESIS_HASH, txs,
-                    fake_election, cfg4)
+                                   tie_set=frozenset([liar]))
+    block = propose(keys4.sk(3), 0, GENESIS_HASH, tuple(txs), fake_election)
     evidence = ForgedSpike(block, tuple(spike_txs), GENESIS_HASH)
     verify_evidence(evidence, keys4, _ctx(cfg4, keys4, txs))
     # the slot's context is the caller's to give
@@ -484,9 +465,7 @@ def test_forged_spike_evidence_verifies(cfg4, keys4, txs):
 
 def test_honest_block_is_not_forgery_evidence(cfg4, keys4, txs):
     mempool, spike_txs, seed, election = _electable(cfg4, keys4, txs)
-    leader = election.leader
-    block = propose(leader, keys4.sk(leader.index), 0, GENESIS_HASH,
-                    mempool, election, cfg4)
+    block = _propose(cfg4, keys4, mempool, election)
     with pytest.raises(InvalidEvidence):
         verify_evidence(ForgedSpike(block, tuple(spike_txs), GENESIS_HASH),
                         keys4, _ctx(cfg4, keys4, mempool))
@@ -559,11 +538,10 @@ def test_evidence_with_and_without_replay_agree(cfg4, keys4, accepted_block,
 def test_evidence_with_and_without_replay_agree_on_vrf(cfg7, keys7, txs,
                                                        monkeypatch):
     mempool, spike_txs, seed, election = _electable(cfg7, keys7, txs)
-    if not election.vrf_used:
+    if election.vrf_output is None:
         pytest.skip("no tie in this draw")
     leader = election.leader
-    block = propose(leader, keys7.sk(leader.index), 0, GENESIS_HASH,
-                    mempool, election, cfg7)
+    block = _propose(cfg7, keys7, mempool, election)
     # fired at the winning step too, but lost the VRF tie-break
     loser = min(election.tie_set - {leader}, key=lambda v: v.index)
     lost = _resign(block, keys7, proposer=loser, vrf_output=None)
@@ -717,9 +695,8 @@ def test_finalize_off_the_tip_waits_for_its_parent(slot1):
     sim, block = slot1
     leader = sim.keys.validator(2)
     election = ElectionResult(leader=leader, fire_step=4,
-                              tie_set=frozenset([leader]), vrf_used=False)
-    child = propose(leader, sim.keys.sk(2), 2, hash_block(block), (),
-                    election, sim.cfg)
+                              tie_set=frozenset([leader]))
+    child = propose(sim.keys.sk(2), 2, hash_block(block), (), election)
     assert _finalize(sim, child, _signed_votes(sim, child, [1, 2, 3])) == ()
     assert list(sim.nodes[1].pending_finalize) == [hash_block(block)]
     assert _finalize(sim, block, _signed_votes(sim, block, [0, 1, 2])) \

@@ -2,6 +2,7 @@ import ast
 import math
 from dataclasses import fields, replace
 from hashlib import blake2b
+from pathlib import Path
 from typing import Literal, Optional
 
 import pytest
@@ -44,9 +45,9 @@ def test_signing_bytes_cover_all_fields():
 def _leader_block(keys, cfg, txs, slot=0, parent=GENESIS_HASH):
     leader = keys.validator(0)
     election = ElectionResult(leader=leader, fire_step=3,
-                              tie_set=frozenset([0]), vrf_used=False,
-                              vrf_output=None)
-    return propose(leader, keys.sk(0), slot, parent, txs, election, cfg)
+                              tie_set=frozenset([0]))
+    return propose(keys.sk(0), slot, parent,
+                   select_mempool(txs, cfg.max_block_txs), election)
 
 
 def test_block_hash_changes_with_content(cfg4, keys4, txs):
@@ -254,6 +255,34 @@ def test_core_imports_nothing_from_consensus():
     assert "posn.crypto" in names
     assert [name for name in names if name == "posn.consensus"
             or name.startswith("posn.consensus.")] == []
+
+
+def _unread_imports(tree):
+    """The names that an import in `tree` binds and that no expression in
+    it reads; a name listed in `__all__` is read, as an export."""
+    bound = {alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return sorted(bound - read)
+
+
+def test_no_posn_module_imports_a_name_it_never_reads():
+    # an unread import is dead code that perfbench's span tracer still
+    # has to find and wrap; no linter is part of the test run
+    package = Path(posn.core.__file__).parent
+    unread = {path.name: _unread_imports(ast.parse(path.read_text()))
+              for path in sorted(package.glob("*.py"))}
+    assert len(unread) > 10
+    assert {name: names for name, names in unread.items() if names} == {}
 
 
 def test_chain_growth_keeps_integrity(cfg4, keys4):

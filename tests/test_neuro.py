@@ -84,9 +84,14 @@ def test_spike_params_are_shared_across_validators(cfg7, keys7):
 
 
 def test_isi_for_oracle(cfg4):
-    assert isi_for(make_tx(0, value=50, fee=50), cfg4) == 10
-    assert isi_for(make_tx(0, value=10**9, fee=0), cfg4) == 1
-    assert isi_for(make_tx(0, value=1, fee=0), cfg4) == 1000
+    cfg = replace(cfg4, tau_steps=1000)
+    assert isi_for(make_tx(0, value=50, fee=50), cfg) == 10
+    assert isi_for(make_tx(0, value=10**9, fee=0), cfg) == 1
+    assert isi_for(make_tx(0, value=1, fee=0), cfg) == 1000
+    # past the window every interval is tau_steps + 1, which never fires
+    assert isi_for(make_tx(0, value=1, fee=0), cfg4) == cfg4.tau_steps + 1
+    assert isi_for(make_tx(0, value=0, fee=0),
+                   replace(cfg, kappa=1.0e19)) == 1001
 
 
 def test_weight_for(cfg4):

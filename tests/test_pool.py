@@ -11,10 +11,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import posn.netsim as netsim
-from posn.consensus import ForgedSpike
+from posn.consensus import ForgedSpike, sign_block
 from posn.core import (GENESIS_HASH, Block, ChainState, Transaction,
                        default_config, select_mempool)
-from posn.crypto import Signature, sign
+from posn.crypto import Signature
 from posn.netsim import (STRATEGIES, FaultPlan, LoadProfile, Partition, Sim,
                          merge_pool)
 
@@ -182,11 +182,10 @@ def test_pools_are_built_once_per_slot_and_tip(monkeypatch):
 
 def _signed(sim, proposer, slot, parent_hash, txs, claimed_fire_step=0):
     """A signed block by validator `proposer`."""
-    block = Block(slot=slot, proposer=sim.keys.validator(proposer),
-                  parent_hash=parent_hash, txs=txs,
-                  claimed_fire_step=claimed_fire_step, vrf_output=None)
-    return replace(block, proposer_signature=sign(
-        sim.keys.sk(proposer), block.core_bytes()))
+    return sign_block(Block(slot=slot, proposer=sim.keys.validator(proposer),
+                            parent_hash=parent_hash, txs=txs,
+                            claimed_fire_step=claimed_fire_step,
+                            vrf_output=None), sim.keys.sk(proposer))
 
 
 def test_nodes_judge_forged_spikes_by_the_context_their_slot_began_with(
@@ -243,13 +242,13 @@ def test_nodes_judge_forged_spikes_by_the_context_their_slot_began_with(
     on_new_tip = _signed(sim, liar, slot, node.chain.tip_hash,
                          view.block_txs)
     node.on_message(now, on_new_tip)
-    judge, _, verdict = verdicts[-1]
-    assert judge == 2 and verdict.reason in ("SpikeMismatch", "NotElected")
+    judge, _, reason = verdicts[-1]
+    assert judge == 2 and reason in ("SpikeMismatch", "NotElected")
     assert ("forged_spike", liar, slot) in node.evidence_seen
     assert replays == {2: 1}
     # a second forgery by the same proposer is already proven
     node.on_message(now, _signed(sim, liar, slot, node.chain.tip_hash,
                                  view.block_txs, 1))
-    judge, _, verdict = verdicts[-1]
-    assert judge == 2 and verdict.reason in ("SpikeMismatch", "NotElected")
+    judge, _, reason = verdicts[-1]
+    assert judge == 2 and reason in ("SpikeMismatch", "NotElected")
     assert replays == {2: 1}
