@@ -75,10 +75,11 @@ class Keyring:
     `crypto.verify` reads, so keys never leak from one run into another.
 
     `check` and `check_vrf` verify an input once and trust it after that,
-    as a node trusts a block it already validated. Only inputs that
-    verified are remembered, so a forgery is checked every time. They are
-    kept in two generations, and `rotate` drops the older one; the harness
-    rotates once per slot, so the set is bounded by slots, not by the run
+    as a node trusts a block it already validated; `trusts` tells a block
+    whose tx signatures all verified this generation. Only passes are
+    remembered, so a forgery is checked every time. `rotate` drops the
+    older of two generations of checks and all trusted blocks; the harness
+    rotates once per slot, so both are bounded by slots, not by the run
     length. A miss after a rotation just verifies again, so rotating never
     changes a verdict.
     """
@@ -95,6 +96,8 @@ class Keyring:
         # verified inputs, this generation and the one before
         self._checked: set[tuple] = set()
         self._older: set[tuple] = set()
+        # block hash -> txs whose signatures all verified this generation
+        self._trusted: dict[bytes, tuple[Transaction, ...]] = {}
 
     def add(self, kp: crypto.KeyPair) -> None:
         """Hold one more key pair, so signatures under it verify."""
@@ -137,9 +140,15 @@ class Keyring:
             return True
         return False
 
+    def trusts(self, block_hash: bytes, txs: tuple[Transaction, ...]) -> bool:
+        """Whether a block's `txs` all verified this generation. The txs are
+        compared too, as the hash cannot tell fields of other widths apart."""
+        return self._trusted.get(block_hash) == txs
+
     def rotate(self) -> None:
         """Start a new generation of checked inputs; drop the oldest."""
         self._older, self._checked = self._checked, set()
+        self._trusted = {}
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +218,13 @@ def check_signatures(block: Block, keys: Keyring) -> Optional[str]:
     bad = _proposer_fault(block, keys)
     if bad is not None:
         return bad
+    block_hash = hash_block(block)
+    if keys.trusts(block_hash, block.txs):
+        return None
     for tx in block.txs:
         if not keys.check(tx.sender, tx.signing_bytes(), tx.signature):
             return "BadTxSignature"
+    keys._trusted[block_hash] = block.txs
     return None
 
 

@@ -362,8 +362,8 @@ def select_mempool(mempool: Sequence[Transaction],
     Pure function of its inputs; it checks no signatures. This order is
     the spec: the harness keeps each chain tip's pending pool in it, so a
     node's spike set and block selection are prefixes of that pool. The
-    load schedule signs every tx, and `consensus.check_signatures` checks
-    every tx of a received block.
+    load schedule signs every tx; `consensus.check_signatures` checks
+    every tx of a received block, once per block per slot generation.
     """
     ordered = sorted(mempool, key=lambda tx: (-tx.fee, tx.id))
     return tuple(ordered[:max_block_txs])

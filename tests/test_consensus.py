@@ -12,6 +12,7 @@ from posn.consensus import (
     InvalidEvidence,
     Keyring,
     apply_penalty,
+    check_signatures,
     collect_votes,
     compute_fire_steps,
     compute_slot_context,
@@ -344,6 +345,77 @@ def test_validate_judges_by_the_given_ctx_on_vrf(cfg7, keys7, txs,
              ("VrfMismatch", _resign(block, keys7, vrf_output=None), 0,
               GENESIS_HASH)]
     _assert_ctx_decides(cfg7, keys7, mempool, cases, monkeypatch)
+
+
+# --- the tx-signature memo ---------------------------------------------------
+# A block whose tx signatures all verified in this generation of the key
+# store is trusted when it comes again; only passes are remembered.
+
+def _tx_key(tx):
+    return (tx.sender, tx.signing_bytes(), tx.signature)
+
+
+def _with_a_bad_tx_signature(block, keys):
+    """`block` with its first tx carrying the second tx's signature,
+    re-signed by its proposer: it differs only by that one bad tag."""
+    txs = list(block.txs)
+    txs[0] = replace(txs[0], signature=txs[1].signature)
+    return _resign(block, keys, txs=tuple(txs))
+
+
+def test_a_forged_tx_is_verified_on_every_proposal(cfg4, keys4,
+                                                   accepted_block,
+                                                   verify_calls):
+    mempool, block, _ = accepted_block
+    assert _validate(cfg4, keys4, block, mempool) is None
+    assert keys4.trusts(hash_block(block), block.txs)
+    forged = _with_a_bad_tx_signature(block, keys4)
+    for _ in range(3):
+        before = len(verify_calls)
+        assert _validate(cfg4, keys4, forged, mempool) == "BadTxSignature"
+        assert _tx_key(forged.txs[0]) in verify_calls[before:]
+    assert not keys4.trusts(hash_block(forged), forged.txs)
+
+
+def _signed_by_1(keys, txs):
+    """A slot-0 block of `txs`, signed by validator 1."""
+    leader = keys.validator(1)
+    election = ElectionResult(leader=leader, fire_step=3,
+                              tie_set=frozenset([leader]))
+    return propose(keys.sk(1), 0, GENESIS_HASH, tuple(txs), election)
+
+
+def test_a_block_of_the_same_hash_with_other_txs_is_walked(keys4, txs):
+    # moving a byte from one tx field to the next keeps every encoding,
+    # so the hash and the proposer signature, but not the tx verdict
+    block = _signed_by_1(keys4, txs[:2])
+    tx = block.txs[0]
+    moved = replace(tx, sender=tx.sender[:-1],
+                    receiver=tx.sender[-1:] + tx.receiver)
+    twin = replace(block, txs=(moved,) + block.txs[1:])
+    assert hash_block(twin) == hash_block(block)
+    assert check_signatures(block, keys4) is None
+    assert check_signatures(twin, keys4) == "BadTxSignature"
+
+
+def test_an_older_trusted_block_is_walked_so_no_tx_ages_out(keys4, txs,
+                                                            verify_calls):
+    a, b = _signed_by_1(keys4, txs[:3]), _signed_by_1(keys4, txs[2:5])
+    assert check_signatures(a, keys4) is None
+    keys4.rotate()
+    assert not keys4.trusts(hash_block(a), a.txs)
+    # a block trusted before the rotation is walked again, which moves its
+    # tx keys up from the older generation without verifying anything
+    before = len(verify_calls)
+    assert check_signatures(a, keys4) is None
+    assert len(verify_calls) == before
+    assert keys4.trusts(hash_block(a), a.txs)
+    keys4.rotate()
+    # b shares txs[2] with a: only b's signature and its two new txs verify
+    assert check_signatures(b, keys4) is None
+    assert verify_calls[before:] == [
+        (b.proposer.pk, b.core_bytes(), b.proposer_signature),
+        _tx_key(txs[3]), _tx_key(txs[4])]
 
 
 # --- votes ------------------------------------------------------------------
@@ -689,6 +761,19 @@ def test_finalize_with_a_bad_block_signature_does_not_append(slot1):
         sim.keys.sk(block.proposer.index), b"not this block"))
     assert _finalize(sim, forged, _signed_votes(sim, forged, [0, 1, 2])) \
         == ()
+
+
+def test_finalize_with_a_forged_tx_never_appends(slot1, verify_calls):
+    # the honest block of the slot is trusted first; a FinalizeMsg for a
+    # copy with one bad tx signature is verified again at every node
+    sim, block = slot1
+    assert check_signatures(block, sim.keys) is None
+    forged = _with_a_bad_tx_signature(block, sim.keys)
+    votes = _signed_votes(sim, forged, [0, 1, 2])
+    for to in (1, 2, 3):
+        before = len(verify_calls)
+        assert _finalize(sim, forged, votes, to=to) == ()
+        assert _tx_key(forged.txs[0]) in verify_calls[before:]
 
 
 def test_finalize_off_the_tip_waits_for_its_parent(slot1):

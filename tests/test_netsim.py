@@ -329,6 +329,25 @@ def test_every_check_asks_the_store(monkeypatch, verify_calls):
     assert len(verify_calls) == len(set(verify_calls))
 
 
+def test_trusted_blocks_change_no_verification(monkeypatch, verify_calls):
+    # a trusted block skips only lookups: with every block lookup forced
+    # to miss, the run makes the same verifications in the same order
+    trusts, hits = Keyring.trusts, []
+
+    def counting(self, block_hash, txs):
+        hits.append(trusts(self, block_hash, txs))
+        return hits[-1]
+
+    monkeypatch.setattr(Keyring, "trusts", counting)
+    _byzantine_store_run()
+    memoized = list(verify_calls)
+    verify_calls.clear()
+    monkeypatch.setattr(Keyring, "trusts", lambda self, block_hash, txs: False)
+    _byzantine_store_run()
+    assert any(hits)
+    assert verify_calls == memoized
+
+
 def test_pruned_checks_cost_few_reverifications(verify_calls):
     # once per slot the oldest checks are dropped; a transaction that
     # waits longer than that in the mempool is verified once more
